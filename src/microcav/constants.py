@@ -29,11 +29,6 @@ N_DIAMOND = 2.417
 #: default Debye-Waller factor of the SiV- center (config-overridable)
 DEBYE_WALLER_DEFAULT = 0.84
 
-#: SiV- fine-structure splittings, GHz: ground-state doublet and the
-#: combined ground+excited splitting of the four-line pattern
-SIV_GS_SPLITTING_GHZ = 50.0
-SIV_GS_PLUS_ES_SPLITTING_GHZ = 310.0
-
 #: SiV- zero-phonon-line reference wavelengths, nm (low-temperature doublet
 #: centers and the cold-limit center of the ensemble studied here)
 SIV_ZPL_AB_NM = 736.57
@@ -65,11 +60,6 @@ MEMBRANE_EXCESS_LOSS_PPM = 2100.0
 def wavelength_nm_to_ghz(wavelength_nm: float) -> float:
     """Optical frequency in GHz for a vacuum wavelength in nm."""
     return C_NM_PER_S / wavelength_nm / 1e9
-
-
-def ghz_to_wavelength_nm(freq_ghz: float) -> float:
-    """Vacuum wavelength in nm for an optical frequency in GHz."""
-    return C_NM_PER_S / (freq_ghz * 1e9)
 
 
 def splitting_ghz(wl1_nm: float, wl2_nm: float) -> float:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import find_peaks
 
 from . import constants
 from .stack import AIR, CavityAssembly, LayerStack, flatten_assembly
@@ -232,6 +231,8 @@ def find_resonances(
     parabolic interpolation on log T, labeled with its mode order from
     the round-trip phase and classified by dispersion slope.
     """
+    from scipy.signal import find_peaks
+
     lo, hi = wavelength_window
     if not hi > lo:
         raise ValueError("empty wavelength window")

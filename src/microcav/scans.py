@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,6 @@ class ScanTrace:
     """Uniformly sampled cavity-length scan, detector units."""
 
     transmission: np.ndarray
-    reflection: np.ndarray | None = None
-    dt_s: float = 1.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -63,6 +60,8 @@ def detect_scan_resonances(
     fundamental modes; smaller ones are higher-order transverse modes.
     Returns an empty list when nothing clears the threshold.
     """
+    from scipy.signal import find_peaks, peak_widths
+
     y = trace.transmission
     swing = float(np.ptp(y))
     if swing == 0.0:
@@ -256,6 +255,8 @@ def noise_spectrum(
     floor = float(np.median(asd))
     peaks = []
     if floor > 0:
+        from scipy.signal import find_peaks
+
         idx, _ = find_peaks(asd, height=peak_threshold * floor)
         df = freq[1] - freq[0]
         for i in idx:

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from . import constants
 from .fitting import DegenerateFitWarning, FitResult, lm_fit
@@ -125,6 +124,8 @@ def fit_double_lorentzian_equal_width(trace: SpectrumTrace) -> FitResult:
     Warns with DegenerateFitWarning when the fitted splitting collapses
     below a quarter linewidth (peaks effectively merged).
     """
+    from scipy.signal import find_peaks, peak_widths
+
     x, y = trace.x, trace.y
     b0 = float(np.min(y))
     idx, props = find_peaks(y - b0, prominence=0.02 * (np.max(y) - b0))

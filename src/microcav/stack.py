@@ -117,10 +117,6 @@ class LayerStack:
         """Same physical structure traversed from the other side."""
         return LayerStack(self.exit, tuple(reversed(self.layers)), self.entry)
 
-    def is_lossless(self) -> bool:
-        media = [self.entry, self.exit] + [l.material for l in self.layers]
-        return all(m.kappa == 0.0 for m in media)
-
 
 @dataclass(frozen=True)
 class Mirror:
@@ -277,14 +273,6 @@ def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
         layers.append(Layer(AIR, assembly.gap2_nm))
     layers.extend(reversed(assembly.plane_mirror.layers))
     return LayerStack(assembly.fiber_mirror.substrate, tuple(layers), assembly.plane_mirror.substrate)
-
-
-def membrane_window_nm(assembly: CavityAssembly) -> tuple[float, float]:
-    """(z_start, z_end) of the membrane inside the flattened stack."""
-    if assembly.membrane is None:
-        raise GeometryError("assembly has no membrane")
-    z0 = sum(l.thickness_nm for l in assembly.fiber_mirror.layers) + assembly.gap_nm
-    return z0, z0 + assembly.membrane.thickness_nm
 
 
 def gap_window_nm(assembly: CavityAssembly) -> tuple[float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .stack import LayerStack
 
-__all__ = ["StackResponse", "FieldProfile", "stack_matrix", "stack_response", "field_profile", "evaluate_field", "interface_mismatch"]
+__all__ = ["StackResponse", "FieldProfile", "stack_response", "field_profile", "evaluate_field", "interface_mismatch"]
 
 
 @dataclass(frozen=True)
@@ -65,59 +65,77 @@ class FieldProfile:
         raise KeyError(f"no segment of material {name!r} in profile")
 
 
-def _layer_matrices(stack: LayerStack, wavelength_nm):
-    """Per-layer characteristic matrices, shape (n_layers, ..., 2, 2)."""
-    wl = np.asarray(wavelength_nm, dtype=float)
-    mats = []
+# max|m| above which a wavelength point is rescaled; the check is skipped
+# while an a-priori bound on max|m| stays below half of it (rounding headroom)
+_RESCALE_AT = 1e120
+_LOG_SKIP_BELOW = np.log(0.5 * _RESCALE_AT)
+
+
+def _layer_factors(stack: LayerStack, wl: np.ndarray):
+    """Per layer: (cos delta, -i sin delta / n, -i n sin delta, log row-sum bound).
+
+    Layers of equal complex index and thickness share one entry.  The bound
+    holds over all of ``wl``: |cos delta|, |sin delta| <= cosh(Im delta),
+    largest at the shortest wavelength.
+    """
+    lam_min = float(np.min(wl)) if wl.size else 1.0
+    distinct = {}
     for layer in stack.layers:
-        n = layer.material.nc
-        delta = 2.0 * np.pi * n * layer.thickness_nm / wl
-        c, s = np.cos(delta), np.sin(delta)
-        m = np.empty(wl.shape + (2, 2), dtype=complex)
-        m[..., 0, 0] = c
-        m[..., 0, 1] = -1j * s / n
-        m[..., 1, 0] = -1j * n * s
-        m[..., 1, 1] = c
-        mats.append(m)
-    return mats
-
-
-def stack_matrix(stack: LayerStack, wavelength_nm):
-    """Characteristic matrix of the whole stack (entry side first)."""
-    m, log_scale = _scaled_stack_matrix(stack, wavelength_nm)
-    return m * np.exp(log_scale)[..., None, None]
+        n, d = layer.material.nc, layer.thickness_nm
+        if (n, d) not in distinct:
+            delta = 2.0 * np.pi * n * d / wl
+            c, s = np.cos(delta), np.sin(delta)
+            x = 2.0 * np.pi * abs(n.imag) * d / lam_min
+            log_cosh = x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
+            distinct[n, d] = (c, -1j * s / n, -1j * n * s, log_cosh + np.log1p(max(abs(n), 1.0 / abs(n))))
+    return [distinct[l.material.nc, l.thickness_nm] for l in stack.layers]
 
 
 def _scaled_stack_matrix(stack: LayerStack, wavelength_nm):
-    """(matrix / e^log_scale, log_scale): overflow-safe ordered product.
+    """Overflow-safe ordered product (entry side first), planar layout.
 
-    Strongly absorbing layers make matrix entries grow like e^{Im delta};
-    rescaling after each multiply keeps the product finite.  r is a ratio
-    of matrix entries and never sees the scale; t recovers it explicitly.
+    Returns the columns ``[m00, m10]`` and ``[m01, m11]`` of matrix /
+    e^log_scale, each of shape (2,) + wavelength shape, and ``log_scale``.
+    Strongly absorbing layers make entries grow like e^{Im delta}; wherever
+    max|m| exceeds 1e120 after a multiply, that point is divided by it.  r is
+    a ratio of matrix entries and never sees the scale; t recovers it.
     """
-    mats = _layer_matrices(stack, wavelength_nm)
-    m = mats[0]
-    log_scale = np.zeros(m.shape[:-2])
-    for nxt in mats[1:]:
-        m = m @ nxt
-        peak = np.max(np.abs(m), axis=(-2, -1))
-        big = peak > 1e120
-        if np.any(big):
-            scale = np.where(big, peak, 1.0)
-            m = m / scale[..., None, None]
-            log_scale = log_scale + np.log(scale)
-    return m, log_scale
+    wl = np.asarray(wavelength_nm, dtype=float)
+    factors = _layer_factors(stack, wl.reshape(-1))
+    c, b, g, log_bound = factors[0]
+    left, right = np.array([c, g]), np.array([b, c])
+    log_scale = np.zeros(c.shape)
+    tmp = np.empty_like(left)
+    for c, b, g, log_norm in factors[1:]:
+        # [left right] <- [left right] @ [[c, b], [g, c]]
+        new_right = left * b
+        new_right += np.multiply(right, c, out=tmp)
+        left *= c
+        left += np.multiply(right, g, out=tmp)
+        right = new_right
+        log_bound += log_norm
+        if not log_bound < _LOG_SKIP_BELOW:
+            peak = np.max(np.abs([left, right]), axis=(0, 1))
+            big = peak > _RESCALE_AT
+            if np.any(big):
+                scale = np.where(big, peak, 1.0)
+                left /= scale
+                right /= scale
+                log_scale += np.log(scale)
+                peak = np.where(big, 1.0, peak)
+            # a row sum is at most twice the row's largest entry
+            log_bound = np.log(2.0 * np.max(peak, initial=1.0))
+    shape = (2,) + wl.shape
+    return left.reshape(shape), right.reshape(shape), log_scale.reshape(wl.shape)
 
 
 def amplitude_coefficients(stack: LayerStack, wavelength_nm):
     """Complex (r, t) for incidence from the entry medium."""
     if np.any(np.asarray(wavelength_nm) <= 0):
         raise ValueError("wavelength must be > 0")
-    m, log_scale = _scaled_stack_matrix(stack, wavelength_nm)
+    (m11, m21), (m12, m22), log_scale = _scaled_stack_matrix(stack, wavelength_nm)
     n0 = stack.entry.nc
     ns = stack.exit.nc
-    m11, m12 = m[..., 0, 0], m[..., 0, 1]
-    m21, m22 = m[..., 1, 0], m[..., 1, 1]
     denom = n0 * m11 + n0 * ns * m12 + m21 + ns * m22
     r = (n0 * m11 + n0 * ns * m12 - m21 - ns * m22) / denom
     # restore the scale on t; underflow to 0 is the honest answer for

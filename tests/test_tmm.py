@@ -162,3 +162,87 @@ class TestFieldProfile:
         assert z1 - z0 == pytest.approx(1420.0)
         with pytest.raises(KeyError):
             prof.segment("unobtainium")
+
+
+def fold_coefficients(stack, wavelength_nm):
+    """Oracle (r, t, log_scale): batched 2x2 `@` products, max|m| > 1e120 rescale after each."""
+    wl = np.asarray(wavelength_nm, dtype=float)
+    m = None
+    log_scale = np.zeros(wl.shape)
+    for layer in stack.layers:
+        n = layer.material.nc
+        delta = 2.0 * np.pi * n * layer.thickness_nm / wl
+        c, s = np.cos(delta), np.sin(delta)
+        lm = np.empty(wl.shape + (2, 2), dtype=complex)
+        lm[..., 0, 0] = c
+        lm[..., 0, 1] = -1j * s / n
+        lm[..., 1, 0] = -1j * n * s
+        lm[..., 1, 1] = c
+        if m is None:
+            m = lm
+            continue
+        m = m @ lm
+        peak = np.max(np.abs(m), axis=(-2, -1))
+        scale = np.where(peak > 1e120, peak, 1.0)
+        m = m / scale[..., None, None]
+        log_scale = log_scale + np.log(scale)
+    n0, ns = stack.entry.nc, stack.exit.nc
+    front = n0 * m[..., 0, 0] + n0 * ns * m[..., 0, 1]
+    back = m[..., 1, 0] + ns * m[..., 1, 1]
+    with np.errstate(under="ignore"):
+        return (front - back) / (front + back), 2.0 * n0 / (front + back) * np.exp(-log_scale), log_scale
+
+
+def random_stack(rng, max_layers, max_kappa):
+    layers = tuple(
+        st.Layer(st.Material("m", rng.uniform(1.0, 3.2), rng.uniform(0.0, max_kappa)), rng.uniform(20, 900))
+        for _ in range(rng.integers(1, max_layers + 1))
+    )
+    return st.LayerStack(st.Material("a", rng.uniform(1, 2)), layers, st.Material("b", rng.uniform(1, 2)))
+
+
+def assert_matches_fold(stack, wl):
+    r, t = tmm.amplitude_coefficients(stack, wl)
+    r_o, t_o, log_scale_o = fold_coefficients(stack, wl)
+    assert np.shape(r) == np.shape(t) == np.shape(wl)
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(t))
+    assert np.all(np.abs(r - r_o) <= 1e-12 * np.abs(r_o))
+    assert np.all(np.abs(t - t_o) <= 1e-12 * np.abs(t_o))
+    # the rescale fires at the same points and layers as in the fold
+    log_scale = tmm._scaled_stack_matrix(stack, wl)[2]
+    np.testing.assert_allclose(log_scale, log_scale_o, rtol=1e-12, atol=0.0)
+    return log_scale
+
+
+WAVELENGTH_GRIDS = [
+    pytest.param(737.25, id="scalar"),
+    pytest.param(np.linspace(600.0, 900.0, 301), id="1d"),
+    pytest.param(np.linspace(600.0, 900.0, 60).reshape(4, 15), id="2d"),
+]
+
+
+class TestPlanarKernel:
+    """amplitude_coefficients against the batched-matrix fold it replaced."""
+
+    @pytest.mark.parametrize("wl", WAVELENGTH_GRIDS)
+    def test_lossless_stacks(self, rng, wl):
+        for _ in range(30):
+            assert_matches_fold(random_stack(rng, 60, 0.0), wl)
+
+    @pytest.mark.parametrize("wl", WAVELENGTH_GRIDS)
+    def test_absorbing_stacks(self, rng, wl):
+        for _ in range(30):
+            assert_matches_fold(random_stack(rng, 60, 0.5), wl)
+
+    @pytest.mark.parametrize("wl", WAVELENGTH_GRIDS)
+    def test_rescale_in_absorbing_stack(self, wl):
+        lossy = st.Layer(st.Material("lossy", 1.5, 3.0), 2000.0)
+        s = st.LayerStack(st.AIR, (lossy,) * 6, st.AIR)
+        assert np.any(assert_matches_fold(s, wl) > 0)
+
+    @pytest.mark.parametrize("wl", WAVELENGTH_GRIDS)
+    def test_rescale_in_deep_lossless_mirror(self, wl):
+        # 900 quarter-wave pairs: max|m| grows ~1.41x per pair inside the
+        # stop band and passes 1e120 without any absorption
+        s = st.build_quarter_wave_stack(737.25, 2.055221, 1.46, 900)
+        assert np.any(assert_matches_fold(s, wl) > 0)
