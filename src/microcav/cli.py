@@ -22,7 +22,8 @@ from . import constants, io, metrics, synth
 from .decay import DecayTrace, fit_decay_emg, fit_decay_kohlrausch, fit_decay_mono, lifetime_with_conservative_bounds
 from .dispersion_fit import fit_dispersion, points_from_resonances
 from .fitting import FitError
-from .purcell import EmitterParams, LifetimeModel, beta_collection, fit_lifetime_model, load_emitter, predict_lifetime_curve
+from .purcell import (EmitterParams, LifetimeModel, beta_collection, fit_lifetime_model, load_emitter, operating_point,
+                      predict_lifetime_curve)
 from .resonance import PhaseModel, dispersion_map, find_resonances
 from .scans import LockSynthConfig, LockTrace, ScanTrace, detect_scan_resonances, finesse_from_scan, length_deviation, noise_spectrum, synthesize_lock_traces
 from .spectral import SpectrumTrace, doublet_splitting_ghz, fit_cubic_temperature, fit_double_lorentzian_equal_width, fit_lorentzian
@@ -57,21 +58,23 @@ def _provenance(args, inputs: list[str | Path], seed: int | None = None) -> dict
     return meta
 
 
+def _input(inputs: list, path: str, what: str = "data file") -> str:
+    """``path`` after checking that it exists and recording it as an input."""
+    if not Path(path).exists():
+        raise UsageError(f"{what} not found: {path}")
+    inputs.append(path)
+    return path
+
+
 def _load_assembly(args, inputs: list):
     if args.assembly:
-        if not Path(args.assembly).exists():
-            raise UsageError(f"assembly config not found: {args.assembly}")
-        inputs.append(args.assembly)
-        return load_assembly(args.assembly)
+        return load_assembly(_input(inputs, args.assembly, "assembly config"))
     return default_assembly()
 
 
 def _load_emitter(args, inputs: list) -> EmitterParams:
     if args.emitter:
-        if not Path(args.emitter).exists():
-            raise UsageError(f"emitter config not found: {args.emitter}")
-        inputs.append(args.emitter)
-        return load_emitter(args.emitter)
+        return load_emitter(_input(inputs, args.emitter, "emitter config"))
     return EmitterParams()
 
 
@@ -83,26 +86,12 @@ def _load_emitter(args, inputs: list) -> EmitterParams:
 def cmd_metrics(args) -> int:
     inputs: list = []
     assembly = _load_assembly(args, inputs)
-    gap = args.gap if args.gap is not None else assembly.gap_nm
     wl = args.wavelength
     pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
-    gap_res, q = pm.retune_gap(wl, gap)
-    cav = assembly.with_gap(gap_res)
-    from .resonance import effective_length
-
-    l_eff = effective_length(cav, wl)
-    w0 = metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wl)
-    v_m = metrics.mode_volume(w0, l_eff)
-    geometry = metrics.ModeGeometry(
-        waist_um=w0,
-        mode_volume_um3=v_m,
-        mode_volume_lambda3=metrics.mode_volume_lambda3(v_m, wl),
-        effective_length_um=l_eff,
-        mode_order=q,
-    )
-    budget = metrics.default_loss_budget(membrane_ppm=args.membrane_loss if assembly.membrane else 0.0)
+    gap_res, geometry = operating_point(pm, wl, args.gap if args.gap is not None else assembly.gap_nm)
+    budget = metrics.loss_budget(assembly, wl, args.membrane_loss)
     finesse = metrics.finesse_from_losses(budget)
-    q_c = metrics.quality_factor(l_eff, wl, finesse)
+    q_c = metrics.quality_factor(geometry.effective_length_um, wl, finesse)
     payload = {
         "meta": _provenance(args, inputs),
         "wavelength_nm": wl,
@@ -114,8 +103,9 @@ def cmd_metrics(args) -> int:
     }
     out = _outdir(args) / "metrics.json"
     io.write_json(out, payload)
-    print(f"gap {gap_res:.1f} nm (q={q})  w0 {w0:.3f} um  L_eff {l_eff:.3f} um  "
-          f"V_m {v_m:.2f} um^3 ({geometry.mode_volume_lambda3:.2f} lambda^3)  "
+    print(f"gap {gap_res:.1f} nm (q={geometry.mode_order})  w0 {geometry.waist_um:.3f} um  "
+          f"L_eff {geometry.effective_length_um:.3f} um  V_m {geometry.mode_volume_um3:.2f} um^3 "
+          f"({geometry.mode_volume_lambda3:.2f} lambda^3)  "
           f"F {finesse:.0f}  Q {q_c:.3g}")
     print(f"wrote {out}")
     return 0
@@ -142,10 +132,7 @@ def cmd_dispersion(args) -> int:
     ok = True
     fits: dict = {}
     if args.data:
-        if not Path(args.data).exists():
-            raise UsageError(f"data file not found: {args.data}")
-        inputs.append(args.data)
-        pts = io.read_columns(args.data, 2)
+        pts = io.read_columns(_input(inputs, args.data), 2)
     else:
         pts = points_from_resonances(resonances)
         if args.noise > 0:
@@ -197,9 +184,8 @@ def cmd_purcell(args) -> int:
 
 
 def cmd_fit_spectrum(args) -> int:
-    if not Path(args.data).exists():
-        raise UsageError(f"data file not found: {args.data}")
-    cols = io.read_columns(args.data, 2, 3)
+    inputs: list = []
+    cols = io.read_columns(_input(inputs, args.data), 2, 3)
     trace = SpectrumTrace(cols[:, 0], cols[:, 1], cols[:, 2] if cols.shape[1] == 3 else None)
     if args.model == "lorentz":
         result = fit_lorentzian(trace)
@@ -209,7 +195,7 @@ def cmd_fit_spectrum(args) -> int:
         extra = {"splitting_ghz": doublet_splitting_ghz(result)}
         print(f"splitting: {extra['splitting_ghz']:.1f} GHz"
               + ("  [DEGENERATE: peaks merged, splitting undefined]" if result.diagnostics.get("degenerate") else ""))
-    payload = {"meta": _provenance(args, [args.data]), "fit": result.to_dict(), **extra}
+    payload = {"meta": _provenance(args, inputs), "fit": result.to_dict(), **extra}
     out = _outdir(args) / f"fit_spectrum_{args.model}.json"
     io.write_json(out, payload)
     print(json.dumps({k: round(v, 6) for k, v in result.params.items()}, indent=None))
@@ -218,11 +204,10 @@ def cmd_fit_spectrum(args) -> int:
 
 
 def cmd_fit_decay(args) -> int:
-    if not Path(args.data).exists():
-        raise UsageError(f"data file not found: {args.data}")
-    cols = io.read_columns(args.data, 2)
+    inputs: list = []
+    cols = io.read_columns(_input(inputs, args.data), 2)
     trace = DecayTrace(cols[:, 0], cols[:, 1])
-    payload: dict = {"meta": _provenance(args, [args.data])}
+    payload: dict = {"meta": _provenance(args, inputs)}
     code = 0
     if args.model == "all":
         try:
@@ -250,12 +235,11 @@ def cmd_fit_decay(args) -> int:
 
 
 def cmd_fit_tdep(args) -> int:
-    if not Path(args.data).exists():
-        raise UsageError(f"data file not found: {args.data}")
-    series = io.read_columns(args.data, 2)
+    inputs: list = []
+    series = io.read_columns(_input(inputs, args.data), 2)
     result = fit_cubic_temperature(series)
     out = _outdir(args) / "fit_tdep.json"
-    io.write_json(out, {"meta": _provenance(args, [args.data]), "fit": result.to_dict()})
+    io.write_json(out, {"meta": _provenance(args, inputs), "fit": result.to_dict()})
     print(f"value(T->0) = {result.params['value_at_0']:.4f} +- {result.sigmas['value_at_0']:.4f}, "
           f"cubic coefficient = {result.params['cubic_coeff']:.3e}")
     print(f"wrote {out}")
@@ -263,12 +247,11 @@ def cmd_fit_tdep(args) -> int:
 
 
 def cmd_fit_lifetime(args) -> int:
-    if not Path(args.data).exists():
-        raise UsageError(f"data file not found: {args.data}")
-    inputs: list = [args.data]
+    inputs: list = []
+    data_path = _input(inputs, args.data)
     assembly = _load_assembly(args, inputs)
     emitter = _load_emitter(args, inputs)
-    data = io.read_columns(args.data, 3)
+    data = io.read_columns(data_path, 3)
     l_range = (float(np.min(data[:, 0])), float(np.max(data[:, 0])))
     model = LifetimeModel(assembly, emitter, l_range, membrane_loss_ppm=args.membrane_loss)
     result = fit_lifetime_model(data, model)
@@ -281,14 +264,13 @@ def cmd_fit_lifetime(args) -> int:
 
 
 def cmd_analyze_scan(args) -> int:
-    if not Path(args.data).exists():
-        raise UsageError(f"data file not found: {args.data}")
-    cols = io.read_columns(args.data, 1, 2)
+    inputs: list = []
+    cols = io.read_columns(_input(inputs, args.data), 1, 2)
     y = cols[:, -1]
     trace = ScanTrace(y)
     peaks = detect_scan_resonances(trace, prominence=args.prominence)
     payload: dict = {
-        "meta": _provenance(args, [args.data]),
+        "meta": _provenance(args, inputs),
         "peaks": [vars(p) for p in peaks],
     }
     code = 0
@@ -312,9 +294,9 @@ def _lock_trace_from_csv(path: str, args, state: str) -> LockTrace:
 
 
 def cmd_analyze_lock(args) -> int:
-    for p in (args.locked, args.unlocked):
-        if not Path(p).exists():
-            raise UsageError(f"data file not found: {p}")
+    inputs: list = []
+    for p in (args.unlocked, args.locked):
+        _input(inputs, p)
     out = _outdir(args)
     results = {}
     for state, path in (("unlocked", args.unlocked), ("locked", args.locked)):
@@ -336,7 +318,7 @@ def cmd_analyze_lock(args) -> int:
     results["suppression"] = suppression
     print(f"suppression: {100 * suppression:.1f}% of length fluctuations")
     io.write_json(out / "lock_analysis.json", {
-        "meta": _provenance(args, [args.unlocked, args.locked]),
+        "meta": _provenance(args, inputs),
         **results,
     })
     print(f"wrote {out / 'lock_analysis.json'}")

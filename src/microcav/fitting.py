@@ -51,9 +51,6 @@ class FitResult:
     def __getitem__(self, name: str) -> float:
         return self.params[name]
 
-    def sigma(self, name: str) -> float:
-        return self.sigmas[name]
-
     @property
     def chi2(self) -> float:
         return self.residual_norm**2

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants
+from .stack import AIR, CavityAssembly
+from .tmm import stack_response
 
 
 class UnstableResonatorError(ValueError):
@@ -158,13 +159,18 @@ def quality_factor(effective_length_um: float, wavelength_nm: float, finesse: fl
     return float(2.0 * effective_length_um * 1e3 * finesse / wavelength_nm)
 
 
-def default_loss_budget(membrane_ppm: float = 0.0, other_ppm: float = 0.0) -> LossBudget:
-    """Budget of the documented coating fixture plus optional extras."""
+def loss_budget(assembly: CavityAssembly, wavelength_nm: float, membrane_loss_ppm: float) -> LossBudget:
+    """Round-trip loss budget of a cavity at one wavelength.
+
+    T1 and T2 are the TMM transmissions of the configured coatings seen
+    from the gap, the excess losses are the mirrors' ``excess_loss_ppm``,
+    and ``membrane_loss_ppm`` counts only when the cavity holds a membrane.
+    """
+    fiber, plane = assembly.fiber_mirror, assembly.plane_mirror
     return LossBudget(
-        transmission1_ppm=constants.MIRROR_TRANSMISSION_PPM,
-        transmission2_ppm=constants.MIRROR_TRANSMISSION_PPM,
-        excess1_ppm=constants.MIRROR_EXCESS_LOSS_PPM,
-        excess2_ppm=constants.MIRROR_EXCESS_LOSS_PPM,
-        membrane_ppm=membrane_ppm,
-        other_ppm=other_ppm,
+        transmission1_ppm=stack_response(fiber.as_stack(AIR), wavelength_nm).T * 1e6,
+        transmission2_ppm=stack_response(plane.as_stack(AIR), wavelength_nm).T * 1e6,
+        excess1_ppm=fiber.excess_loss_ppm,
+        excess2_ppm=plane.excess_loss_ppm,
+        membrane_ppm=membrane_loss_ppm if assembly.membrane is not None else 0.0,
     )

@@ -207,31 +207,40 @@ class LifetimePoint:
         }
 
 
+def operating_point(pm: PhaseModel, wavelength_nm: float, target_gap_nm: float) -> tuple[float, metrics.ModeGeometry]:
+    """Resonant gap nearest ``target_gap_nm`` and the mode geometry there.
+
+    Retunes the gap of ``pm.assembly`` so that ``wavelength_nm`` is on
+    resonance, then takes L_eff, the waist and V_m at that gap.
+    """
+    gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
+    cav = pm.assembly.with_gap(gap)
+    l_eff = effective_length(cav, wavelength_nm)
+    w0 = metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wavelength_nm)
+    v_m = metrics.mode_volume(w0, l_eff)
+    return gap, metrics.ModeGeometry(w0, v_m, metrics.mode_volume_lambda3(v_m, wavelength_nm), l_eff, q)
+
+
 def _pipeline_point(
-    assembly: CavityAssembly,
     pm: PhaseModel,
     emitter: EmitterParams,
     gap_nm: float,
-    budget: metrics.LossBudget,
+    finesse: float,
     tau0_ns: float,
     eta_qe: float,
     samples_per_layer: int = 600,
 ) -> LifetimePoint:
     wl = emitter.zpl_wavelength_nm
     try:
-        gap, q = pm.retune_gap(wl, gap_nm)
-        cav = assembly.with_gap(gap)
-        l_eff = effective_length(cav, wl)
-        w0 = metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wl)
-        v_m = metrics.mode_volume(w0, l_eff)
-        finesse = metrics.finesse_from_losses(budget)
+        gap, mode = operating_point(pm, wl, gap_nm)
+        l_eff, v_m = mode.effective_length_um, mode.mode_volume_um3
         q_c = metrics.quality_factor(l_eff, wl, finesse)
         q_eff = effective_q(emitter.q_em, q_c)
-        prof = field_profile(flatten_assembly(cav), wl, samples_per_layer)
+        prof = field_profile(flatten_assembly(pm.assembly.with_gap(gap)), wl, samples_per_layer)
         xi = xi_overlap(prof, emitter.implant_depth_nm, emitter.dipole_angle_rad)
         f_p = purcell_factor(xi, wl, emitter.host_index, q_eff, v_m)
         tau = tau0_ns / lifetime_ratio(f_p, eta_qe, emitter.debye_waller)
-        return LifetimePoint(gap, q, l_eff, w0, v_m, q_c, q_eff, xi, f_p, tau)
+        return LifetimePoint(gap, mode.mode_order, l_eff, mode.waist_um, v_m, q_c, q_eff, xi, f_p, tau)
     except (NoResonanceError, metrics.UnstableResonatorError, ValueError) as exc:
         return LifetimePoint(gap_nm, -1, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, flag=str(exc))
 
@@ -249,20 +258,16 @@ def predict_lifetime_curve(
     For each requested gap the cavity is retuned to the nearest gap that
     puts the emitter transition on resonance; points that cannot be
     computed (no resonance, unstable geometry) come back flagged instead
-    of being dropped.
+    of being dropped.  The emitters sit in the membrane, so an assembly
+    without one is rejected.
     """
+    if assembly.membrane is None:
+        raise ValueError("the emitters sit in the membrane, but the assembly has no membrane (membrane: null)")
     wl = emitter.zpl_wavelength_nm
     pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
-    budget = metrics.default_loss_budget(membrane_ppm=membrane_loss_ppm)
-    budget = metrics.LossBudget(
-        transmission1_ppm=budget.transmission1_ppm,
-        transmission2_ppm=budget.transmission2_ppm,
-        excess1_ppm=assembly.fiber_mirror.excess_loss_ppm,
-        excess2_ppm=assembly.plane_mirror.excess_loss_ppm,
-        membrane_ppm=membrane_loss_ppm,
-    )
+    finesse = metrics.finesse_from_losses(metrics.loss_budget(assembly, wl, membrane_loss_ppm))
     return [
-        _pipeline_point(assembly, pm, emitter, float(g), budget, tau0_ns, eta_qe)
+        _pipeline_point(pm, emitter, float(g), finesse, tau0_ns, eta_qe)
         for g in np.atleast_1d(np.asarray(gaps_nm, dtype=float))
     ]
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import constants
-from .stack import AIR, CavityAssembly, LayerStack, flatten_assembly
+from .stack import CavityAssembly, flatten_assembly, split_at_gap
 from .tmm import _wave_amplitudes, amplitude_coefficients, transmission
 
 
@@ -82,17 +82,7 @@ class PhaseModel:
         self.wl = np.linspace(lo, hi, n)
         self.assembly = assembly
 
-        fiber = assembly.fiber_mirror.as_stack(AIR)
-        rest_layers = []
-        if assembly.membrane is not None:
-            rest_layers.append(assembly.membrane)
-        if assembly.gap2_nm > 0:
-            from .stack import Layer
-
-            rest_layers.append(Layer(AIR, assembly.gap2_nm))
-        rest_layers.extend(reversed(assembly.plane_mirror.layers))
-        rest = LayerStack(AIR, tuple(rest_layers), assembly.plane_mirror.substrate)
-
+        fiber, rest, _, _ = split_at_gap(assembly)
         r_l, _ = amplitude_coefficients(fiber, self.wl)
         r_r, _ = amplitude_coefficients(rest, self.wl)
         self.mag = np.abs(r_l) * np.abs(r_r)
@@ -194,10 +184,6 @@ class PhaseModel:
         return best
 
 
-def _phase_model(assembly: CavityAssembly, window: tuple[float, float], margin_nm: float = 5.0) -> PhaseModel:
-    return PhaseModel(assembly, window[0] - margin_nm, window[1] + margin_nm)
-
-
 def classify_character(
     pm: PhaseModel, q: int, gap_nm: float, wl_nm: float, delta_gap_nm: float = 2.0
 ) -> str:
@@ -237,7 +223,7 @@ def find_resonances(
     if not hi > lo:
         raise ValueError("empty wavelength window")
     cav = assembly.with_gap(gap_nm)
-    pm = _phase_model(cav, wavelength_window)
+    pm = PhaseModel(cav, lo - 5.0, hi + 5.0)
     mid = 0.5 * (lo + hi)
     width = pm.linewidth_nm(mid, gap_nm)
     n = int(np.clip(np.ceil(6.0 * (hi - lo) / width), 1001, max_grid))
@@ -360,15 +346,15 @@ def _energy_ratio(assembly: CavityAssembly, wavelength_nm: float, normalize: str
 
     if normalize == "auto":
         normalize = "membrane" if assembly.membrane is not None else "gap"
-    n_fiber_layers = len(assembly.fiber_mirror.layers)
+    _, _, i_gap, i_membrane = split_at_gap(assembly)
     if normalize == "membrane":
-        if assembly.membrane is None:
+        if i_membrane is None:
             raise ValueError("normalize='membrane' requires a membrane")
-        j_norm = n_fiber_layers + (1 if assembly.gap_nm > 0 else 0)
+        j_norm = i_membrane
     elif normalize == "gap":
         if assembly.gap_nm <= 0:
             raise ValueError("normalize='gap' requires a nonzero gap")
-        j_norm = n_fiber_layers
+        j_norm = i_gap
     else:
         raise ValueError(f"unknown normalize mode {normalize!r}")
 
@@ -437,15 +423,14 @@ def membrane_interface_intensity(assembly: CavityAssembly, wavelength_nm: float)
     stack = flatten_assembly(assembly)
     amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
     factors = _scale_factors(log_scales)
-    n_fiber = len(assembly.fiber_mirror.layers)
-    j_mem = n_fiber + (1 if assembly.gap_nm > 0 else 0)
+    _, _, i_gap, j_mem = split_at_gap(assembly)
     a, b = amps[j_mem]
     e2_if = abs((a + b) * factors[j_mem]) ** 2
     n_d = assembly.membrane.material.n
 
     peak = 0.0
-    intracavity = range(n_fiber, j_mem + (2 if assembly.gap2_nm > 0 else 1))
-    for j in intracavity:
+    # the gap, the membrane and the second gap: all but the plane coating
+    for j in range(i_gap, len(stack.layers) - len(assembly.plane_mirror.layers)):
         layer = stack.layers[j]
         k = 2.0 * np.pi * layer.material.nc / wavelength_nm
         aj, bj = amps[j]

@@ -256,6 +256,26 @@ def hard_mirror(kappa: float = 1e5, thickness_nm: float = 0.012) -> Mirror:
     return Mirror(SILICA, (Layer(m, thickness_nm),), excess_loss_ppm=0.0)
 
 
+def split_at_gap(assembly: CavityAssembly) -> tuple[LayerStack, LayerStack, int, int | None]:
+    """The cavity cut open at the fiber-side air gap: (fiber, rest, i_gap, i_membrane).
+
+    ``fiber`` is the fiber coating and ``rest`` everything beyond the gap
+    (membrane, second air gap, plane coating), each seen from the gap.  In
+    :func:`flatten_assembly`'s layers the gap sits at ``i_gap`` (when
+    ``gap_nm > 0``) and the membrane at ``i_membrane`` (None without one).
+    """
+    rest: list[Layer] = []
+    if assembly.membrane is not None:
+        rest.append(assembly.membrane)
+    if assembly.gap2_nm > 0:
+        rest.append(Layer(AIR, assembly.gap2_nm))
+    rest.extend(reversed(assembly.plane_mirror.layers))
+    i_gap = len(assembly.fiber_mirror.layers)
+    i_membrane = None if assembly.membrane is None else i_gap + (1 if assembly.gap_nm > 0 else 0)
+    return (assembly.fiber_mirror.as_stack(AIR), LayerStack(AIR, tuple(rest), assembly.plane_mirror.substrate),
+            i_gap, i_membrane)
+
+
 def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
     """Full cavity as one stack, fiber substrate -> plane-mirror substrate.
 
@@ -264,15 +284,9 @@ def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
     directly on the plane-mirror cap layer).  Total geometric thickness is
     preserved exactly.
     """
-    layers: list[Layer] = list(assembly.fiber_mirror.layers)
-    if assembly.gap_nm > 0:
-        layers.append(Layer(AIR, assembly.gap_nm))
-    if assembly.membrane is not None:
-        layers.append(assembly.membrane)
-    if assembly.gap2_nm > 0:
-        layers.append(Layer(AIR, assembly.gap2_nm))
-    layers.extend(reversed(assembly.plane_mirror.layers))
-    return LayerStack(assembly.fiber_mirror.substrate, tuple(layers), assembly.plane_mirror.substrate)
+    _, rest, _, _ = split_at_gap(assembly)
+    gap = (Layer(AIR, assembly.gap_nm),) if assembly.gap_nm > 0 else ()
+    return LayerStack(assembly.fiber_mirror.substrate, assembly.fiber_mirror.layers + gap + rest.layers, rest.exit)
 
 
 def gap_window_nm(assembly: CavityAssembly) -> tuple[float, float]:

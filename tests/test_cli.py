@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from microcav import io
+from microcav import io, metrics, tmm
+from microcav import stack as st
 from microcav.cli import main
+from microcav.purcell import EmitterParams, predict_lifetime_curve
 from microcav.io import CsvFormatError
 
 
@@ -140,3 +142,41 @@ class TestMetricsCommand:
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["finesse"] == pytest.approx(1232.0, rel=0.01)
         assert "L_eff" in out
+
+    def test_finesse_follows_configured_coatings(self, tmp_path):
+        cfg = st.default_assembly_config()
+        cfg["fiber_mirror"] = {"pairs": 14}
+        cfg["plane_mirror"] = {"pairs": 8, "excess_loss_ppm": 300.0}
+        (tmp_path / "a.json").write_text(json.dumps(cfg))
+        assert run(tmp_path, "metrics", "--assembly", str(tmp_path / "a.json")) == 0
+        payload = json.loads((tmp_path / "metrics.json").read_text())
+        a = st.assembly_from_config(cfg)
+        t1, t2 = (tmm.stack_response(m.as_stack(st.AIR), 737.25).T * 1e6 for m in (a.fiber_mirror, a.plane_mirror))
+        expected = 2.0 * np.pi / ((t1 + t2 + 20.0 + 300.0 + 2100.0) * 1e-6)
+        assert payload["finesse"] == pytest.approx(expected, rel=1e-12)
+        assert payload["finesse"] == pytest.approx(446.0, abs=1.0)
+
+        # purcell's lifetime curve uses the same budget, so the same finesse
+        point = predict_lifetime_curve(a, [10_000.0], EmitterParams(), 1.36, 0.51)[0]
+        assert point.l_eff_um == payload["mode_geometry"]["effective_length_um"]
+        assert point.q_c == pytest.approx(metrics.quality_factor(point.l_eff_um, 737.25, payload["finesse"]), rel=1e-12)
+
+    def test_empty_cavity_membrane_loss_is_zero(self, tmp_path):
+        cfg = {**st.default_assembly_config(), "membrane": None, "gap2_nm": 0.0}
+        (tmp_path / "a.json").write_text(json.dumps(cfg))
+        assert run(tmp_path, "metrics", "--assembly", str(tmp_path / "a.json")) == 0
+        assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 0.0
+
+
+class TestEmptyCavityPurcell:
+    @pytest.mark.parametrize("command", ["purcell", "fit-lifetime"])
+    def test_one_error_line_no_traceback(self, tmp_path, capsys, command):
+        cfg = {**st.default_assembly_config(), "membrane": None, "gap2_nm": 0.0}
+        (tmp_path / "a.json").write_text(json.dumps(cfg))
+        data = tmp_path / "lifetimes.csv"
+        io.write_csv(data, ["l_eff_um", "tau_ns", "sigma_ns"], [(10.0, 1.3, 0.03), (20.0, 1.34, 0.03), (30.0, 1.35, 0.03)])
+        extra = ["--data", str(data)] if command == "fit-lifetime" else ["--points", "2"]
+        assert run(tmp_path, command, "--assembly", str(tmp_path / "a.json"), *extra) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "membrane" in err[0]
+        assert not (tmp_path / "purcell.csv").exists()

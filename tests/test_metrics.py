@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from microcav import metrics
+from microcav import metrics, tmm
+from microcav import stack as st
 from microcav.metrics import LossBudget, UnstableResonatorError
 
 
@@ -108,6 +109,25 @@ class TestFinesse:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             LossBudget(-1.0, 0.0)
+
+
+class TestLossBudget:
+    def test_configured_coatings_and_excess(self):
+        # 14-pair fiber coating, 8-pair plane coating with 300 ppm excess
+        a = st.default_assembly(fiber_mirror={"pairs": 14}, plane_mirror={"pairs": 8, "excess_loss_ppm": 300.0})
+        t1, t2 = (tmm.stack_response(m.as_stack(st.AIR), 737.25).T * 1e6 for m in (a.fiber_mirror, a.plane_mirror))
+        budget = metrics.loss_budget(a, 737.25, 2100.0)
+        assert (budget.transmission1_ppm, budget.transmission2_ppm) == (t1, t2)
+        assert t1 < 1480.0 < t2
+        assert budget.total_ppm == pytest.approx(t1 + t2 + 20.0 + 300.0 + 2100.0, rel=1e-12)
+
+    def test_default_coating_at_the_operating_point(self):
+        budget = metrics.loss_budget(st.default_assembly(), 737.25, 2100.0)
+        assert budget.transmission1_ppm == budget.transmission2_ppm == pytest.approx(1481.03, abs=0.01)
+        assert (budget.excess1_ppm, budget.excess2_ppm, budget.membrane_ppm) == (20.0, 20.0, 2100.0)
+
+    def test_empty_cavity_has_no_membrane_loss(self, empty_assembly):
+        assert metrics.loss_budget(empty_assembly, 737.25, 2100.0).membrane_ppm == 0.0
 
 
 class TestQualityFactor:

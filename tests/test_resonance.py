@@ -159,7 +159,7 @@ class TestEffectiveLength:
                 target = (gap, l_eff)
         gap, l_eff = target
         assert l_eff == pytest.approx(20.0, abs=1.0)
-        finesse = metrics.finesse_from_losses(metrics.default_loss_budget(membrane_ppm=2100.0))
+        finesse = metrics.finesse_from_losses(metrics.loss_budget(membrane_assembly, 737.25, 2100.0))
         q_c = metrics.quality_factor(l_eff, 737.25, finesse)
         assert q_c == pytest.approx(7.2e4, rel=0.25)
 

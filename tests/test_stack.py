@@ -119,6 +119,21 @@ class TestAssembly:
         assert s.layers[n_mirror + 1].thickness_nm == membrane_assembly.membrane.thickness_nm
         assert s.layers[n_mirror + 2].thickness_nm == membrane_assembly.gap2_nm
 
+    @pytest.mark.parametrize("gap, membrane, gap2", [(5000.0, True, 250.0), (0.0, True, 0.0), (5000.0, False, 0.0)])
+    def test_split_at_gap_matches_flattened_layout(self, fixture_mirror, gap, membrane, gap2):
+        mem = st.Layer(st.DIAMOND, 1420.0) if membrane else None
+        asm = st.CavityAssembly(fixture_mirror, gap, mem, gap2, fixture_mirror, r_c_um=45.0)
+        fiber, rest, i_gap, i_membrane = st.split_at_gap(asm)
+        flat = st.flatten_assembly(asm)
+        gap_layers = (st.Layer(st.AIR, gap),) if gap > 0 else ()
+        assert flat.layers == tuple(reversed(fiber.layers)) + gap_layers + rest.layers
+        assert fiber.entry == rest.entry == st.AIR
+        assert (fiber.exit, rest.exit) == (flat.entry, flat.exit)
+        assert i_gap == len(fiber.layers)
+        if gap > 0:
+            assert flat.layers[i_gap].thickness_nm == gap
+        assert i_membrane is None if mem is None else flat.layers[i_membrane] is mem
+
 
 class TestJsonConfig:
     def test_round_trip(self, tmp_path):
