@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .fitting import FitError, FitResult, lm_fit
 
@@ -97,6 +96,8 @@ def _emg_core(t, tau, mu, sigma):
     x >= 0 (both factors <= 1) and erfc(x) * exp(h) for x < 0 (erfc < 2,
     h decreasing in t).  Choosing per sample keeps E finite everywhere.
     """
+    from scipy.special import erfc, erfcx
+
     t = np.asarray(t, dtype=float)
     x = (mu - t + sigma**2 / tau) / (sigma * _SQRT2)
     G = np.exp(-((t - mu) ** 2) / (2.0 * sigma**2))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class FitError(RuntimeError):
@@ -129,6 +128,8 @@ def lm_fit(
         On precondition violations, iteration exhaustion or a singular
         Jacobian; diagnostics carry the best parameters found so far.
     """
+    from scipy.optimize import least_squares
+
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     y = np.asarray(y, dtype=float)
     n_par = p0.size

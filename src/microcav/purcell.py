@@ -24,8 +24,8 @@ import numpy as np
 from . import constants, metrics
 from .fitting import FitResult, lm_fit
 from .resonance import NoResonanceError, PhaseModel, effective_length
-from .stack import CavityAssembly, flatten_assembly
-from .tmm import FieldProfile, field_profile
+from .stack import CavityAssembly, flatten_assembly, split_at_gap
+from .tmm import FieldProfile, evaluate_field
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,17 @@ def xi_overlap(profile: FieldProfile, implant_depth_nm: float, dipole_angle_rad:
     intensity = np.abs(profile.E[sel]) ** 2
     e2 = np.interp(implant_depth_nm, z, intensity)
     return float(np.sqrt(e2 / np.max(intensity)) * abs(np.cos(dipole_angle_rad)))
+
+
+def _membrane_xi(assembly: CavityAssembly, emitter: EmitterParams, samples_per_layer: int = 600) -> float:
+    """xi_overlap on the membrane's samples of field_profile(...), found by layer index, not material name."""
+    stack, j = flatten_assembly(assembly), split_at_gap(assembly)[3]
+    (z0, z1), layer, wl = stack.boundaries_nm()[j:j + 2], stack.layers[j], emitter.zpl_wavelength_nm
+    z = np.append(z0 + np.linspace(0.0, layer.thickness_nm, samples_per_layer, endpoint=False), z1)
+    E = evaluate_field(stack, wl, z)
+    membrane = FieldProfile(z, E / np.max(np.abs(E)), np.full(z.shape, layer.material.n),
+                            ((z0, z1, layer.material.name),), wl)
+    return xi_overlap(membrane, emitter.implant_depth_nm, emitter.dipole_angle_rad, host=layer.material.name)
 
 
 def effective_q(q_em: float, q_c: float) -> float:
@@ -215,7 +226,7 @@ def operating_point(pm: PhaseModel, wavelength_nm: float, target_gap_nm: float) 
     """
     gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
     cav = pm.assembly.with_gap(gap)
-    l_eff = effective_length(cav, wavelength_nm)
+    l_eff = effective_length(cav, wavelength_nm, pm=pm)
     w0 = metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wavelength_nm)
     v_m = metrics.mode_volume(w0, l_eff)
     return gap, metrics.ModeGeometry(w0, v_m, metrics.mode_volume_lambda3(v_m, wavelength_nm), l_eff, q)
@@ -236,8 +247,7 @@ def _pipeline_point(
         l_eff, v_m = mode.effective_length_um, mode.mode_volume_um3
         q_c = metrics.quality_factor(l_eff, wl, finesse)
         q_eff = effective_q(emitter.q_em, q_c)
-        prof = field_profile(flatten_assembly(pm.assembly.with_gap(gap)), wl, samples_per_layer)
-        xi = xi_overlap(prof, emitter.implant_depth_nm, emitter.dipole_angle_rad)
+        xi = _membrane_xi(pm.assembly.with_gap(gap), emitter, samples_per_layer)
         f_p = purcell_factor(xi, wl, emitter.host_index, q_eff, v_m)
         tau = tau0_ns / lifetime_ratio(f_p, eta_qe, emitter.debye_waller)
         return LifetimePoint(gap, mode.mode_order, l_eff, mode.waist_um, v_m, q_c, q_eff, xi, f_p, tau)

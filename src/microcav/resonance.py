@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import constants
 from .stack import CavityAssembly, flatten_assembly, split_at_gap
@@ -127,27 +126,29 @@ class PhaseModel:
     def solve_wavelength(self, q: int, gap_nm: float, window: tuple[float, float] | None = None) -> float:
         """Resonance wavelength of mode order q at a given gap.
 
-        Scans the cached grid for sign changes of the phase miss and
-        refines with brentq; raises NoResonanceError when the mode does
-        not cross the window.
+        In the first grid cell where the phase miss changes sign, the phase is
+        p0 + s (x - x0), so x * miss = s x^2 + (p0 - s x0 - target) x + 4 pi gap
+        has its root there.  Raises NoResonanceError if the mode misses the window.
         """
         lo = self.wl[0] if window is None else max(window[0], self.wl[0])
         hi = self.wl[-1] if window is None else min(window[1], self.wl[-1])
         sel = (self.wl >= lo) & (self.wl <= hi)
-        wl = self.wl[sel]
+        wl, phi = self.wl[sel], self.phi_mirrors[sel]
         if wl.size < 2:
             raise NoResonanceError("window outside the cached phase grid")
         target = 2.0 * np.pi * (q + 1.0)
-        miss = 4.0 * np.pi * gap_nm / wl + self.phi_mirrors[sel] - target
+        miss = 4.0 * np.pi * gap_nm / wl + phi - target
         sign_change = np.nonzero(np.diff(np.signbit(miss)))[0]
         if sign_change.size == 0:
             raise NoResonanceError(f"mode q={q} has no resonance in [{lo:.2f}, {hi:.2f}] nm at gap {gap_nm:.1f} nm")
         i = int(sign_change[0])
-
-        def f(x):
-            return 4.0 * np.pi * gap_nm / x + self.mirror_phase(x) - target
-
-        return float(brentq(f, wl[i], wl[i + 1], xtol=1e-9))
+        (x0, x1), (p0, p1) = wl[i:i + 2], phi[i:i + 2]
+        s = (p1 - p0) / (x1 - x0)
+        b, c = p0 - s * x0 - target, 4.0 * np.pi * gap_nm
+        if s == 0.0:
+            return float(-c / b)
+        h = -0.5 * (b + np.copysign(np.sqrt(max(b * b - 4.0 * s * c, 0.0)), b))
+        return float(min((h / s, c / h), key=lambda x: abs(x - 0.5 * (x0 + x1))))
 
     def solve_gap(self, q: int, wl_nm: float) -> float:
         """Gap putting mode order q on resonance at a given wavelength."""
@@ -382,6 +383,7 @@ def effective_length(
     wavelength_nm: float,
     normalize: str = "auto",
     tolerance_linewidths: float = 0.5,
+    pm: PhaseModel | None = None,
 ) -> float:
     """Energy-weighted effective cavity length in um.
 
@@ -392,9 +394,10 @@ def effective_length(
 
     Requires the assembly to sit within ``tolerance_linewidths`` cavity
     linewidths of a resonance, else the standing-wave normalization is
-    ill-defined and OffResonanceError is raised.
+    ill-defined and OffResonanceError is raised.  ``pm``, a PhaseModel of the
+    same assembly at any gap, saves building one; the result does not change.
     """
-    pm = PhaseModel(assembly, wavelength_nm - 5.0, wavelength_nm + 5.0)
+    pm = pm if pm is not None else PhaseModel(assembly, wavelength_nm - 5.0, wavelength_nm + 5.0)
     try:
         wl_res, _ = pm.nearest_resonance(wavelength_nm, assembly.gap_nm)
     except NoResonanceError as exc:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import microcav
 from microcav import io, metrics, tmm
 from microcav import stack as st
 from microcav.cli import main
@@ -180,3 +185,40 @@ class TestEmptyCavityPurcell:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "membrane" in err[0]
         assert not (tmp_path / "purcell.csv").exists()
+
+
+def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new Python process that imports microcav from this source tree."""
+    src = str(Path(microcav.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestScipyFreeSolverPath:
+    def test_metrics_and_purcell_without_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from microcav.cli import main\n"
+            "out = sys.argv[1]\n"
+            "codes = [main(['--outdir', out, 'metrics', '--wavelength', '737.25']),\n"
+            "         main(['--outdir', out, 'purcell', '--points', '3'])]\n"
+            "sys.exit(max(codes))\n"
+        )
+        proc = _fresh_interpreter(code, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "metrics.json").exists() and (tmp_path / "purcell.csv").exists()
+
+    def test_fit_loads_scipy_lazily(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from microcav.cli import main\n"
+            "assert 'scipy' not in sys.modules, 'import microcav.cli loaded scipy'\n"
+            "out = sys.argv[1]\n"
+            "codes = [main(['--outdir', out, 'synth', 'decay', '--tau', '1.36']),\n"
+            "         main(['--outdir', out, 'fit-decay', '--model', 'emg', '--data', out + '/decay.csv'])]\n"
+            "assert 'scipy.optimize' in sys.modules and 'scipy.special' in sys.modules\n"
+            "sys.exit(max(codes))\n"
+        )
+        proc = _fresh_interpreter(code, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from microcav import constants, purcell, tmm
+from microcav import constants, purcell, resonance, tmm
 from microcav import stack as st
 from microcav.purcell import EmitterParams, LifetimeModel, fit_lifetime_model, predict_lifetime_curve
 
@@ -167,6 +169,30 @@ class TestLifetimeCurve:
         pts = predict_lifetime_curve(membrane_assembly, [6000.0], emitter, 1.36, 0.51)
         reduction = 1.0 - pts[0].tau_ns / 1.36
         assert 0.02 <= reduction <= 0.08
+
+    def test_membrane_found_by_position_not_name(self, membrane_assembly):
+        renamed = dataclasses.replace(membrane_assembly, membrane=st.Layer(st.Material("membrane", 2.417), 1420.0))
+        gaps = np.linspace(6000.0, 30_000.0, 5)
+        emitter = EmitterParams()
+        assert (predict_lifetime_curve(renamed, gaps, emitter, 1.36, 0.51)
+                == predict_lifetime_curve(membrane_assembly, gaps, emitter, 1.36, 0.51))
+
+    def test_one_phase_model_per_sweep(self, membrane_assembly, monkeypatch):
+        builds = []
+        init = resonance.PhaseModel.__init__
+        monkeypatch.setattr(resonance.PhaseModel, "__init__", lambda pm, *a, **k: builds.append(1) or init(pm, *a, **k))
+        pts = predict_lifetime_curve(membrane_assembly, np.linspace(6000.0, 30_000.0, 5), EmitterParams(), 1.36, 0.51)
+        assert all(not p.flag for p in pts)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("depth_nm", [0.0, 75.0, 1419.9])
+    def test_membrane_xi_matches_full_profile(self, membrane_assembly, depth_nm):
+        emitter = EmitterParams(implant_depth_nm=depth_nm, dipole_angle_rad=0.3)
+        pm = resonance.PhaseModel(membrane_assembly, 727.0, 747.0)
+        cav = membrane_assembly.with_gap(pm.retune_gap(emitter.zpl_wavelength_nm, 9000.0)[0])
+        prof = tmm.field_profile(st.flatten_assembly(cav), emitter.zpl_wavelength_nm, samples_per_layer=600)
+        xi_full = purcell.xi_overlap(prof, depth_nm, 0.3)
+        assert purcell._membrane_xi(cav, emitter, 600) == pytest.approx(xi_full, rel=1e-12, abs=0.0)
 
 
 @pytest.fixture(scope="module")

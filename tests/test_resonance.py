@@ -4,6 +4,7 @@ import pytest
 from microcav import metrics, tmm
 from microcav import stack as st
 from microcav.resonance import (
+    NoResonanceError,
     OffResonanceError,
     PhaseModel,
     dispersion_map,
@@ -175,3 +176,57 @@ class TestRetuning:
     def test_interface_weight_range(self, membrane_assembly):
         w = membrane_interface_intensity(membrane_assembly, 737.25)
         assert 0.0 <= w <= 1.0
+
+
+def _brentq_on_interpolant(pm, q, gap_nm, window=None):
+    """Reference root: brentq on the same grid bracket and linear interpolant."""
+    from scipy.optimize import brentq
+
+    lo = pm.wl[0] if window is None else max(window[0], pm.wl[0])
+    hi = pm.wl[-1] if window is None else min(window[1], pm.wl[-1])
+    sel = (pm.wl >= lo) & (pm.wl <= hi)
+    wl = pm.wl[sel]
+    target = 2.0 * np.pi * (q + 1.0)
+    miss = 4.0 * np.pi * gap_nm / wl + pm.phi_mirrors[sel] - target
+    i = int(np.nonzero(np.diff(np.signbit(miss)))[0][0])
+    return brentq(lambda x: 4.0 * np.pi * gap_nm / x + np.interp(x, pm.wl, pm.phi_mirrors) - target,
+                  wl[i], wl[i + 1], xtol=1e-12)
+
+
+class TestCellRoot:
+    def test_matches_brentq(self, membrane_assembly, empty_assembly, hard_assembly):
+        solves = 0
+        for asm in (membrane_assembly, empty_assembly, hard_assembly):
+            pm = PhaseModel(asm, 700.0, 790.0)
+            for gap in np.linspace(3_000.0, 20_000.0, 23):
+                q0 = pm.mode_order(737.0, gap)
+                for q in (q0 - 1, q0, q0 + 1):
+                    for window in (None, (725.0, 760.0)):
+                        try:
+                            ref = _brentq_on_interpolant(pm, q, gap, window)
+                        except IndexError:  # no sign change: the solver must say so too
+                            with pytest.raises(NoResonanceError):
+                                pm.solve_wavelength(q, gap, window)
+                            continue
+                        assert abs(pm.solve_wavelength(q, gap, window) - ref) <= 1e-9
+                        solves += 1
+        assert solves >= 150
+
+    def test_no_resonance_raises(self, membrane_assembly):
+        pm = PhaseModel(membrane_assembly, 700.0, 790.0)
+        q0 = pm.mode_order(737.0, 10_000.0)
+        with pytest.raises(NoResonanceError, match="no resonance"):
+            pm.solve_wavelength(q0 + 40, 10_000.0)
+        with pytest.raises(NoResonanceError, match="outside the cached phase grid"):
+            pm.solve_wavelength(q0, 10_000.0, window=(900.0, 950.0))
+        with pytest.raises(NoResonanceError, match="no resonance"):
+            pm.solve_wavelength(q0, 10_000.0, window=(700.0, 701.0))
+
+
+class TestPhaseModelReuse:
+    def test_effective_length_with_shared_model_is_identical(self, membrane_assembly):
+        pm = PhaseModel(membrane_assembly, 727.25, 747.25)
+        for g0 in np.linspace(2_000.0, 20_000.0, 5):
+            gap, _ = pm.retune_gap(737.25, g0)
+            cav = membrane_assembly.with_gap(gap)
+            assert effective_length(cav, 737.25, pm=pm) == effective_length(cav, 737.25)
