@@ -119,7 +119,7 @@ def cmd_dispersion(args) -> int:
     gaps = np.linspace(args.gap_min, args.gap_max, args.gap_steps)
 
     dmap = dispersion_map(assembly, (args.gap_min, args.gap_max), args.map_gap_steps, window, args.wl_steps)
-    io.write_csv(out / "map.csv", ["gap_nm", "wavelength_nm", "transmission"], dmap.rows())
+    io.write_csv(out / "map.csv", ["gap_nm", "wavelength_nm", "transmission"], columns=dmap.columns())
 
     resonances = []
     for g in gaps:
@@ -304,8 +304,7 @@ def cmd_analyze_lock(args) -> int:
         dev = length_deviation(trace)
         filled = np.where(np.isnan(dev.delta_pm), 0.0, dev.delta_pm - np.nanmean(dev.delta_pm))
         spectrum = noise_spectrum(filled, trace.rate_hz)
-        io.write_csv(out / f"asd_{state}.csv", ["freq_hz", "asd_pm_per_rthz"],
-                     zip(spectrum.freq_hz, spectrum.asd))
+        io.write_csv(out / f"asd_{state}.csv", ["freq_hz", "asd_pm_per_rthz"], columns=[spectrum.freq_hz, spectrum.asd])
         results[state] = {
             "sigma_pm": dev.sigma_pm,
             "n_clipped": dev.n_clipped,
@@ -331,28 +330,27 @@ def cmd_synth(args) -> int:
     if args.kind == "decay":
         tr = synth.synth_decay_trace(tau_ns=args.tau, sigma_irf_ns=args.sigma_irf, seed=seed)
         path = out / "decay.csv"
-        io.write_csv(path, ["t_ns", "counts"], zip(tr.t_ns, tr.counts))
+        io.write_csv(path, ["t_ns", "counts"], columns=[tr.t_ns, tr.counts])
     elif args.kind == "doublet":
         tr = synth.synth_doublet_spectrum(seed=seed)
         path = out / "doublet.csv"
-        io.write_csv(path, ["wavelength_nm", "counts"], zip(tr.x, tr.y))
+        io.write_csv(path, ["wavelength_nm", "counts"], columns=[tr.x, tr.y])
     elif args.kind == "spectrum":
         tr = synth.synth_lorentzian_spectrum(seed=seed)
         path = out / "spectrum.csv"
-        io.write_csv(path, ["wavelength_nm", "counts"], zip(tr.x, tr.y))
+        io.write_csv(path, ["wavelength_nm", "counts"], columns=[tr.x, tr.y])
     elif args.kind == "tdep":
-        rows = synth.synth_temperature_series(seed=seed)
         path = out / "tdep.csv"
-        io.write_csv(path, ["temperature_k", "center_nm"], rows)
+        io.write_csv(path, ["temperature_k", "center_nm"], columns=synth.synth_temperature_series(seed=seed).T)
     elif args.kind == "scan":
         tr = synth.synth_scan_trace(seed=seed)
         path = out / "scan.csv"
-        io.write_csv(path, ["sample", "transmission"], zip(np.arange(tr.transmission.size), tr.transmission))
+        io.write_csv(path, ["sample", "transmission"], columns=[np.arange(tr.transmission.size), tr.transmission])
     elif args.kind == "lock":
         cfg = LockSynthConfig()
         unlocked, locked = synthesize_lock_traces(cfg, seed)
         for state, tr in (("unlocked", unlocked), ("locked", locked)):
-            io.write_csv(out / f"lock_{state}.csv", ["time_s", "transmission"], zip(tr.time_s, tr.transmission))
+            io.write_csv(out / f"lock_{state}.csv", ["time_s", "transmission"], columns=[tr.time_s, tr.transmission])
         print(f"wrote {out / 'lock_unlocked.csv'} and {out / 'lock_locked.csv'} "
               f"(wavelength {cfg.wavelength_nm} nm, finesse {cfg.finesse})")
         return 0

@@ -47,6 +47,8 @@ class DecayTrace:
         object.__setattr__(self, "counts", c)
         if t.ndim != 1 or t.shape != c.shape or t.size < 8:
             raise ValueError("need matching 1D arrays of at least 8 bins")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(c))):
+            raise ValueError("times and counts must be finite")
         dt = np.diff(t)
         if np.any(dt <= 0) or np.ptp(dt) > 1e-9 * dt[0]:
             raise ValueError("time axis must be a uniform increasing grid")

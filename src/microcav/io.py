@@ -1,8 +1,8 @@
 """CSV / JSON ingestion and emission shared by the CLI and tests.
 
-CSV conventions: comma-separated, optional ``#`` comment lines, optional
-single header row (detected by non-numeric first field).  Malformed data
-rows raise CsvFormatError naming the 1-based line number.
+CSV conventions: comma-separated, ``#`` starts a comment, optional single
+header row (detected by non-numeric first field).  Malformed data rows and
+non-finite values raise CsvFormatError naming the 1-based line number.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +25,41 @@ def read_columns(path: str | Path, n_min: int = 2, n_max: int | None = None) -> 
     """Numeric columns from a CSV file, shape (rows, columns).
 
     Accepts between ``n_min`` and ``n_max`` (default: n_min) columns; all
-    data rows must have the same width.
+    data rows must have the same width.  numpy parses the file whole; a file
+    it rejects, or one holding NaN or inf, is parsed again line by line, as
+    float() parses, to name the line at fault.
     """
     if n_max is None:
         n_max = n_min
+    with open(path, newline="") as fh:
+        first = _fields(fh.readline())
+    try:
+        [float(f) for f in first]
+        header = 0
+    except ValueError:
+        header = 1  # the row parser's rule: a non-numeric first line is the header
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+            data = np.loadtxt(path, delimiter=",", comments="#", skiprows=header, ndmin=2)
+        if data.size and n_min <= data.shape[1] <= n_max and np.isfinite(data).all():
+            return data
+    except ValueError:
+        pass
+    return _read_rows(path, n_min, n_max)
+
+
+def _fields(line: str) -> list[str]:
+    """The non-empty fields of a CSV line, its ``#`` comment removed."""
+    return [f.strip() for f in next(csv.reader([line.partition("#")[0]])) if f.strip()]
+
+
+def _read_rows(path: str | Path, n_min: int, n_max: int) -> np.ndarray:
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            fields = [f.strip() for f in row if f.strip() != ""]
+        for lineno, line in enumerate(fh, start=1):
+            fields = _fields(line)
             if not fields:
                 continue
             try:
@@ -42,6 +68,8 @@ def read_columns(path: str | Path, n_min: int = 2, n_max: int | None = None) -> 
                 if lineno == 1 or (lineno == 2 and not rows):
                     continue  # header row
                 raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {fields!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"{path}: line {lineno}: non-finite value in {fields!r}")
             if not n_min <= len(values) <= n_max:
                 raise CsvFormatError(
                     f"{path}: line {lineno}: expected {n_min}"
@@ -58,12 +86,14 @@ def read_columns(path: str | Path, n_min: int = 2, n_max: int | None = None) -> 
     return np.asarray(rows, dtype=float)
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
+def write_csv(path: str | Path, header: list[str], rows=(), *, columns=None) -> None:
+    """A header row, then ``rows`` or the rows of equal-length array ``columns``."""
+    if columns is not None:  # Python scalars write faster than numpy's, to the same text
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

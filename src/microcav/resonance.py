@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
+from .peaks import find_peaks
 from .stack import CavityAssembly, flatten_assembly, split_at_gap
 from .tmm import _wave_amplitudes, amplitude_coefficients, transmission
 
@@ -218,8 +219,6 @@ def find_resonances(
     parabolic interpolation on log T, labeled with its mode order from
     the round-trip phase and classified by dispersion slope.
     """
-    from scipy.signal import find_peaks
-
     lo, hi = wavelength_window
     if not hi > lo:
         raise ValueError("empty wavelength window")
@@ -231,12 +230,10 @@ def find_resonances(
     wl = np.linspace(lo, hi, n)
     t = transmission(flatten_assembly(cav), wl)
 
-    idx, _ = find_peaks(t, prominence=rel_prominence * float(np.max(t)))
+    idx, _, _ = find_peaks(t, prominence=rel_prominence * float(np.max(t)))
     points = []
     logt = np.log(np.maximum(t, 1e-300))
     for i in idx:
-        if i == 0 or i == n - 1:
-            continue
         denom = logt[i - 1] - 2.0 * logt[i] + logt[i + 1]
         shift = 0.0 if denom >= 0 else 0.5 * (logt[i - 1] - logt[i + 1]) / denom
         wl_res = wl[i] + shift * (wl[1] - wl[0])
@@ -251,7 +248,7 @@ class DispersionMap:
     """Transmission T(gap, wavelength) on a dense rectangular grid.
 
     ``t`` has shape (len(gaps), len(wavelengths)); row i is the spectrum at
-    ``gaps_nm[i]``.  ``rows()`` yields (gap_nm, wavelength_nm, T) records in
+    ``gaps_nm[i]``.  ``columns()`` gives the (gap_nm, wavelength_nm, T) columns in
     gap-major order, the layout of the CSV export.
     """
 
@@ -259,10 +256,9 @@ class DispersionMap:
     wavelengths_nm: np.ndarray
     t: np.ndarray
 
-    def rows(self):
-        for i, g in enumerate(self.gaps_nm):
-            for j, w in enumerate(self.wavelengths_nm):
-                yield float(g), float(w), float(self.t[i, j])
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n_gaps, n_wl = self.t.shape
+        return np.repeat(self.gaps_nm, n_wl), np.tile(self.wavelengths_nm, n_gaps), self.t.ravel()
 
 
 def dispersion_map(

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .peaks import find_peaks
+
 
 @dataclass(frozen=True)
 class ScanTrace:
@@ -60,32 +62,21 @@ def detect_scan_resonances(
     fundamental modes; smaller ones are higher-order transverse modes.
     Returns an empty list when nothing clears the threshold.
     """
-    from scipy.signal import find_peaks, peak_widths
-
     y = trace.transmission
-    swing = float(np.ptp(y))
-    if swing == 0.0:
-        return []
-    idx, props = find_peaks(y, prominence=prominence * swing)
-    if idx.size == 0:
-        return []
-    widths = peak_widths(y, idx, rel_height=0.5)[0]
+    idx, prominences, widths = find_peaks(y, prominence=prominence * float(np.ptp(y)))
     heights = y[idx] - float(np.min(y))
-    top = float(np.max(heights))
+    top = float(np.max(heights, initial=0.0))
     peaks = []
     for i, pos in enumerate(idx):
-        # parabolic refinement of the peak position
-        if 0 < pos < y.size - 1:
-            denom = y[pos - 1] - 2.0 * y[pos] + y[pos + 1]
-            shift = 0.0 if denom >= 0 else 0.5 * (y[pos - 1] - y[pos + 1]) / denom
-        else:
-            shift = 0.0
+        # parabolic refinement of the peak position (never an end sample)
+        denom = y[pos - 1] - 2.0 * y[pos] + y[pos + 1]
+        shift = 0.0 if denom >= 0 else 0.5 * (y[pos - 1] - y[pos + 1]) / denom
         peaks.append(
             ScanPeak(
                 position=float(pos + shift),
                 height=float(heights[i]),
                 fwhm=float(widths[i]),
-                prominence=float(props["prominences"][i]),
+                prominence=float(prominences[i]),
                 fundamental=bool(heights[i] >= fundamental_fraction * top),
             )
         )
@@ -123,6 +114,8 @@ class LockTrace:
         object.__setattr__(self, "transmission", y)
         if t.shape != y.shape or t.ndim != 1 or t.size < 16:
             raise ValueError("need matching 1D time/transmission arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+            raise ValueError("time and transmission must be finite")
         dt = np.diff(t)
         if np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt[0]:
             raise ValueError("time axis must be a uniform increasing grid")
@@ -255,9 +248,7 @@ def noise_spectrum(
     floor = float(np.median(asd))
     peaks = []
     if floor > 0:
-        from scipy.signal import find_peaks
-
-        idx, _ = find_peaks(asd, height=peak_threshold * floor)
+        idx, _, _ = find_peaks(asd, height=peak_threshold * floor)
         df = freq[1] - freq[0]
         for i in idx:
             lo, hi = max(i - 3, 0), min(i + 4, psd.size)

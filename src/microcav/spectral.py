@@ -14,6 +14,7 @@ import numpy as np
 
 from . import constants
 from .fitting import DegenerateFitWarning, FitResult, lm_fit
+from .peaks import find_peaks
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,12 @@ def fit_double_lorentzian_equal_width(trace: SpectrumTrace) -> FitResult:
     Warns with DegenerateFitWarning when the fitted splitting collapses
     below a quarter linewidth (peaks effectively merged).
     """
-    from scipy.signal import find_peaks, peak_widths
-
     x, y = trace.x, trace.y
     b0 = float(np.min(y))
-    idx, props = find_peaks(y - b0, prominence=0.02 * (np.max(y) - b0))
+    idx, prominences, widths = find_peaks(y - b0, prominence=0.02 * (np.max(y) - b0))
     if len(idx) >= 2:
-        order = np.argsort(props["prominences"])[::-1][:2]
-        picks = np.sort(idx[order])
-        widths = peak_widths(y - b0, picks, rel_height=0.5)[0]
+        order = np.sort(np.argsort(prominences)[::-1][:2])
+        picks, widths = idx[order], widths[order]
         w0 = float(np.mean(widths)) * abs(np.mean(np.diff(x)))
         c1, c2 = float(x[picks[0]]), float(x[picks[1]])
         a1 = float(y[picks[0]] - b0)

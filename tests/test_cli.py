@@ -222,3 +222,30 @@ class TestScipyFreeSolverPath:
         )
         proc = _fresh_interpreter(code, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
+
+    def test_scan_and_lock_analysis_without_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from microcav.cli import main\n"
+            "out = sys.argv[1]\n"
+            "run = lambda *a: main(['--outdir', out, *a])\n"
+            "codes = [run('synth', 'scan'), run('analyze-scan', '--data', out + '/scan.csv'),\n"
+            "         run('synth', 'lock'), run('analyze-lock', '--unlocked', out + '/lock_unlocked.csv',\n"
+            "                                   '--locked', out + '/lock_locked.csv')]\n"
+            "sys.exit(max(codes))\n"
+        )
+        proc = _fresh_interpreter(code, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "scan_analysis.json").exists() and (tmp_path / "lock_analysis.json").exists()
+
+    def test_find_resonances_leaves_scipy_signal_unloaded(self):
+        code = (
+            "import sys\n"
+            "from microcav import stack\n"
+            "from microcav.resonance import find_resonances\n"
+            "assert find_resonances(stack.default_assembly(), 13500.0, (715.0, 755.0))\n"
+            "assert 'scipy.signal' not in sys.modules, 'find_resonances loaded scipy.signal'\n"
+        )
+        proc = _fresh_interpreter(code)
+        assert proc.returncode == 0, proc.stderr
