@@ -39,15 +39,15 @@ SIV_ZPL_COLD_NM = 736.86
 SIV_ENSEMBLE_LINEWIDTH_GHZ = 310.0
 
 #: default mirror-coating design: quarter-wave Ta2O5/SiO2 pairs on silica.
-#: The high index is tuned (see stack.design_mirror_index) so that the
-#: coating transmits MIRROR_TRANSMISSION_PPM at MIRROR_CENTER_NM; the pair
-#: count comes from sweeping integer pair numbers until the transmission
-#: first drops below the target.
+#: The high index is tuned (see design_mirror_index in tests/test_stack.py)
+#: so that the coating transmits MIRROR_TRANSMISSION_PPM at MIRROR_CENTER_NM;
+#: the pair count comes from sweeping integer pair numbers until the
+#: transmission first drops below the target.
 MIRROR_CENTER_NM = 736.0
 MIRROR_TRANSMISSION_PPM = 1480.0
 MIRROR_N_LOW = 1.46
 MIRROR_PAIRS = 11
-#: tuned value, frozen from tmm.design_mirror_index(736, 11, 1.46, 1480)
+#: tuned value, frozen from design_mirror_index(736, 11, 1.46, 1480)
 MIRROR_N_HIGH = 2.055221
 #: absorption + scatter per mirror beyond the design transmission
 MIRROR_EXCESS_LOSS_PPM = 20.0

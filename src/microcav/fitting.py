@@ -1,9 +1,9 @@
 """Damped least-squares fitting engine.
 
-One engine serves every nonlinear fit in the toolkit: damped least squares
-with trust-region updates (scipy's TRF implementation), analytic Jacobians
-where the model provides them, and a uniform result record with
-Jacobian-based one-sigma uncertainties.
+One engine serves every nonlinear fit in the toolkit: a bounded
+Levenberg-Marquardt in numpy (More 1978; Madsen, Nielsen & Tingleff 2004),
+analytic Jacobians where the model provides them, and a uniform result
+record with Jacobian-based one-sigma uncertainties.
 """
 
 from __future__ import annotations
@@ -87,6 +87,88 @@ def covariance_from_jacobian(jac: np.ndarray, scale: float = 1.0) -> tuple[np.nd
     return cov, cond
 
 
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
+_STATUS = {
+    0: "maximum number of function evaluations exhausted",
+    1: "gtol: the projected gradient vanished",
+    2: "ftol: the cost stopped falling",
+    3: "xtol: the step became negligible",
+}
+
+
+def _fd_jacobian(residual, p, r, lo, hi):
+    """2-point forward differences, each step flipped where it would leave the box."""
+    h = _SQRT_EPS * np.where(p >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(p))
+    leaves = (p + h < lo) | (p + h > hi)
+    h = np.where(leaves & (np.abs(h) <= np.maximum(p - lo, hi - p)), -h, h)
+    jac = np.empty((r.size, p.size))
+    for i in range(p.size):
+        q = p.copy()
+        q[i] += h[i]
+        jac[:, i] = (residual(q) - r) / (q[i] - p[i])
+    return jac
+
+
+def _levenberg_marquardt(residual, jacobian, p, lo, hi, max_nfev, r_zero, tol=1e-13):
+    """Bounded Levenberg-Marquardt from ``p``: (p, r, J, nfev, status, zero_residual).
+
+    Columns are scaled by the running maximum of their norms (More 1978) and
+    the damping follows Nielsen's rule.  A parameter sitting on a bound with
+    its gradient pointing out of the box is frozen for the iteration; the
+    others take the damped Gauss-Newton step from one SVD (reused across
+    damping retries), clipped to the box, and the gain ratio is that of the
+    clipped step.  ftol holds when both the actual and the predicted
+    reduction fall below ftol * cost (More's rule).  ``nfev`` counts
+    residual evaluations only.
+    """
+    r = residual(p)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals are not finite at the initial guess")
+    nfev, cost, jac = 1, 0.5 * r @ r, jacobian(p, r)
+    col_scale = np.zeros(p.size)
+    mu, nu = 1e-3, 2.0  # 1e-3 x the largest diagonal of the scaled J^T J, which starts at 1
+    while True:
+        col_scale = np.maximum(col_scale, np.linalg.norm(jac, axis=0))
+        d = np.where(col_scale > 0, col_scale, 1.0)
+        g = jac.T @ r
+        free = ~(((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0)))
+        if np.sqrt(2.0 * cost) <= r_zero:
+            return p, r, jac, nfev, 2, True
+        if np.max(np.abs(g[free]), initial=0.0) < tol:
+            return p, r, jac, nfev, 1, False
+        if nfev >= max_nfev:
+            return p, r, jac, nfev, 0, False
+        u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
+        ur = u.T @ r
+        while True:
+            step = np.zeros(p.size)
+            step[free] = -(vt.T @ (s / (s**2 + mu) * ur)) / d[free]
+            step = np.clip(p + step, lo, hi) - p
+            r_new = residual(p + step)
+            nfev += 1
+            cost_new = 0.5 * r_new @ r_new
+            js = jac @ step
+            predicted = -(g @ step + 0.5 * js @ js)
+            reduction = cost - cost_new if np.isfinite(cost_new) else -np.inf
+            rho = reduction / predicted if predicted > 0 else 0.0
+            xtol_hit = np.linalg.norm(step) < tol * (tol + np.linalg.norm(p))
+            if reduction > 0:
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                ftol_hit = max(reduction, predicted) < tol * cost
+                p, r, cost = p + step, r_new, cost_new
+                jac = jacobian(p, r)
+                if ftol_hit or xtol_hit:
+                    return p, r, jac, nfev, 2 if ftol_hit else 3, False
+                break
+            mu *= nu
+            nu *= 2.0
+            if xtol_hit:
+                return p, r, jac, nfev, 3, False
+            if nfev >= max_nfev:
+                return p, r, jac, nfev, 0, False
+
+
 def lm_fit(
     model,
     x,
@@ -128,8 +210,6 @@ def lm_fit(
         On precondition violations, iteration exhaustion or a singular
         Jacobian; diagnostics carry the best parameters found so far.
     """
-    from scipy.optimize import least_squares
-
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     y = np.asarray(y, dtype=float)
     n_par = p0.size
@@ -163,53 +243,47 @@ def lm_fit(
 
     if jac is not None:
 
-        def jac_wrapped(p):
+        def jacobian(p, r):
             j = np.asarray(jac(x, *p), dtype=float)
             return j * w[:, None] if w is not None else j
 
-        jac_arg = jac_wrapped
     else:
-        jac_arg = "2-point"
 
-    res = least_squares(
-        residual,
-        p0,
-        jac=jac_arg,
-        bounds=(lo, hi),
-        method="trf",
-        xtol=1e-13,
-        ftol=1e-13,
-        gtol=1e-13,
-        max_nfev=max_nfev if max_nfev is not None else 5000,
-    )
+        def jacobian(p, r):
+            return _fd_jacobian(residual, p, r, lo, hi)
 
-    zero_residual = np.sqrt(2.0 * res.cost / y.size) < 1e-8
-    if res.status == 0 and not zero_residual:
+    r_zero = 1e-10 * np.linalg.norm(y * w if w is not None else y)
+    p_fit, r_fit, j_fit, nfev, status, zero_stop = _levenberg_marquardt(
+        residual, jacobian, p0, lo, hi, max_nfev if max_nfev is not None else 5000, r_zero)
+    cost_fit = 0.5 * r_fit @ r_fit
+
+    zero_residual = np.sqrt(2.0 * cost_fit / y.size) < 1e-8
+    if status == 0 and not zero_residual:
         # a numerically zero residual with iterations left over is not a
         # failure: noiseless data can leave a flat parameter ridge (e.g. an
         # IRF width below the data resolution) that no tolerance terminates
         raise FitError(
-            "maximum number of function evaluations exhausted",
+            _STATUS[0],
             {
-                "best_params": dict(zip(names, res.x.tolist())),
-                "cost": float(res.cost),
-                "nfev": int(res.nfev),
+                "best_params": dict(zip(names, p_fit.tolist())),
+                "cost": float(cost_fit),
+                "nfev": nfev,
             },
         )
 
     # one Gauss-Newton polish step: exact for linear models, and sharpens
-    # the trust-region endpoint to machine precision near any minimum
-    x_best, cost_best = res.x, res.cost
+    # the damped iteration's endpoint to machine precision near any minimum
+    x_best, cost_best = p_fit, cost_fit
     try:
-        step, *_ = np.linalg.lstsq(res.jac, -res.fun, rcond=None)
-        cand = np.clip(res.x + step, lo, hi)
+        step, *_ = np.linalg.lstsq(j_fit, -r_fit, rcond=None)
+        cand = np.clip(p_fit + step, lo, hi)
         r_cand = residual(cand)
         if np.all(np.isfinite(r_cand)):
             cost_cand = 0.5 * r_cand @ r_cand
             # a tiny step near convergence may improve the cost by less
             # than float resolution; accept it anyway (the linearized cost
             # never increases, and curvature error is O(step^2))
-            tiny = np.linalg.norm(step) <= 1e-6 * (1.0 + np.linalg.norm(res.x))
+            tiny = np.linalg.norm(step) <= 1e-6 * (1.0 + np.linalg.norm(p_fit))
             if cost_cand < cost_best or (tiny and cost_cand <= cost_best * (1 + 1e-12)):
                 x_best, cost_best = cand, cost_cand
     except np.linalg.LinAlgError:
@@ -221,7 +295,7 @@ def lm_fit(
         scale = 2.0 * cost_best / dof
     else:
         scale = 1.0
-    cov, cond = covariance_from_jacobian(res.jac, scale)
+    cov, cond = covariance_from_jacobian(j_fit, scale)
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     return FitResult(
@@ -230,12 +304,12 @@ def lm_fit(
         sigmas=dict(zip(names, sig.tolist())),
         residual_norm=float(np.sqrt(2.0 * cost_best)),
         converged=True,
-        iterations=int(res.nfev),
+        iterations=nfev,
         diagnostics={
-            "status": int(res.status),
-            "message": res.message,
+            "status": status,
+            "message": _STATUS[status],
             "jacobian_condition": cond,
             "covariance": cov.tolist(),
-            **({"zero_residual_termination": True} if res.status == 0 else {}),
+            **({"zero_residual_termination": True} if zero_stop or status == 0 else {}),
         },
     )

@@ -32,12 +32,18 @@ def read_columns(path: str | Path, n_min: int = 2, n_max: int | None = None) -> 
     if n_max is None:
         n_max = n_min
     with open(path, newline="") as fh:
-        first = _fields(fh.readline())
-    try:
-        [float(f) for f in first]
-        header = 0
-    except ValueError:
-        header = 1  # the row parser's rule: a non-numeric first line is the header
+        heads = [_fields(fh.readline()) for _ in range(2)]
+    # the row parser's rule: a non-numeric line 1 is a header, and so is a
+    # non-numeric line 2 when no data row came before it
+    header = 0
+    for lineno, fields in enumerate(heads, start=1):
+        try:
+            [float(f) for f in fields]
+        except ValueError:
+            header = lineno
+            continue
+        if fields:
+            break
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without data rows

@@ -278,30 +278,6 @@ def field_profile(stack: LayerStack, wavelength_nm: float, samples_per_layer: in
     return FieldProfile(z, E, n_of_z, tuple(segs), float(wavelength_nm))
 
 
-def design_mirror_index(
-    center_wavelength_nm: float,
-    pairs: int,
-    n_low: float,
-    target_transmission_ppm: float,
-    bracket: tuple[float, float] = (1.7, 2.5),
-) -> float:
-    """High index that makes a quarter-wave coating hit a target transmission.
-
-    Bisects n_high so that the ``pairs``-pair stack on silica transmits
-    ``target_transmission_ppm`` at the design wavelength.  Used once to
-    freeze the documented coating fixture.
-    """
-    from scipy.optimize import brentq
-
-    from .stack import build_quarter_wave_stack
-
-    def miss(nh):
-        s = build_quarter_wave_stack(center_wavelength_nm, nh, n_low, pairs)
-        return stack_response(s, center_wavelength_nm).T - target_transmission_ppm * 1e-6
-
-    return float(brentq(miss, *bracket, xtol=1e-9))
-
-
 def interface_mismatch(stack: LayerStack, wavelength_nm: float) -> float:
     """Max |E| discontinuity across interior interfaces (should be ~0).
 

@@ -209,19 +209,31 @@ class TestScipyFreeSolverPath:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "metrics.json").exists() and (tmp_path / "purcell.csv").exists()
 
-    def test_fit_loads_scipy_lazily(self, tmp_path):
+    def test_fits_without_scipy(self, tmp_path):
         code = (
-            "import sys\n"
+            "import csv, sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
             "from microcav.cli import main\n"
-            "assert 'scipy' not in sys.modules, 'import microcav.cli loaded scipy'\n"
             "out = sys.argv[1]\n"
-            "codes = [main(['--outdir', out, 'synth', 'decay', '--tau', '1.36']),\n"
-            "         main(['--outdir', out, 'fit-decay', '--model', 'emg', '--data', out + '/decay.csv'])]\n"
-            "assert 'scipy.optimize' in sys.modules and 'scipy.special' in sys.modules\n"
+            "run = lambda *a: main(['--outdir', out, *a])\n"
+            "codes = [run('synth', 'decay', '--tau', '1.36', '--sigma-irf', '0.3'),\n"
+            "         run('fit-decay', '--model', 'all', '--data', out + '/decay.csv'),\n"
+            "         run('synth', 'doublet'), run('fit-spectrum', '--model', 'doublet', '--data', out + '/doublet.csv'),\n"
+            "         run('synth', 'spectrum'), run('fit-spectrum', '--model', 'lorentz', '--data', out + '/spectrum.csv'),\n"
+            "         run('synth', 'tdep'), run('fit-tdep', '--data', out + '/tdep.csv'),\n"
+            "         run('purcell', '--points', '12')]\n"
+            "with open(out + '/purcell.csv', newline='') as src, open(out + '/lifetimes.csv', 'w', newline='') as dst:\n"
+            "    rows = [(r['l_eff_um'], r['tau_ns'], 0.02 * float(r['tau_ns'])) for r in csv.DictReader(src)]\n"
+            "    csv.writer(dst).writerows([('l_eff_um', 'tau_ns', 'sigma_ns'), *rows])\n"
+            "codes += [run('fit-lifetime', '--data', out + '/lifetimes.csv'),\n"
+            "          run('dispersion', '--no-second-gap', '--gap-steps', '5', '--map-gap-steps', '4', '--wl-steps', '60')]\n"
             "sys.exit(max(codes))\n"
         )
         proc = _fresh_interpreter(code, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
+        for name in ("fit_decay_all.json", "fit_spectrum_doublet.json", "fit_spectrum_lorentz.json",
+                     "fit_tdep.json", "fit_lifetime.json", "fit.json"):
+            assert (tmp_path / name).exists(), name
 
     def test_scan_and_lock_analysis_without_scipy(self, tmp_path):
         code = (

@@ -76,6 +76,31 @@ class TestLmFit:
         assert fit.diagnostics["jacobian_condition"] > 1e4
         assert fit.sigmas["a"] > 1e2 * abs(fit.residual_norm + 1e-12)
 
+    def test_numerically_zero_residual_stops(self):
+        # noiseless mono-exponential data leave the EMG's IRF width on a flat
+        # ridge toward zero that no tolerance terminates
+        from microcav import decay
+
+        t = np.arange(0.0, 12.5, 0.032)
+        fit = decay.fit_decay_emg(decay.DecayTrace(t, decay.mono_exp(t, 2.5, 3e4, 20.0)))
+        assert fit.diagnostics["zero_residual_termination"]
+        assert fit.iterations < 1000
+        assert fit["tau_ns"] == pytest.approx(2.5, rel=1e-8)
+
+    def test_parameter_units_do_not_matter(self, rng):
+        # column scaling makes the damped step blind to each parameter's unit
+        x = np.linspace(0.0, 8.0, 60)
+        y = 250.0 * np.exp(-x / 1.7) + 4.0 + rng.normal(0, 2.0, x.size)
+        fits = []
+        for unit in (1.0, 1e-9, 1e12):  # the decay time in units of 1/unit
+            fits.append(lm_fit(
+                lambda x, a, t, b: a * np.exp(-x * unit / t) + b, x, y, [100.0, unit, 0.0],
+                jac=lambda x, a, t, b: np.column_stack(
+                    [np.exp(-x * unit / t), a * np.exp(-x * unit / t) * x * unit / t**2, np.ones_like(x)]),
+                bounds=([0.0, 0.1 * unit, -np.inf], [np.inf, np.inf, np.inf]), names=["a", "t", "b"]))
+            assert fits[-1]["t"] / unit == pytest.approx(fits[0]["t"], rel=1e-8)
+            assert fits[-1].chi2 == pytest.approx(fits[0].chi2, rel=1e-12)
+
     def test_weighted_covariance_is_absolute(self, rng):
         x = np.linspace(0, 10, 200)
         sigma = 0.5

@@ -69,6 +69,18 @@ class TestFastPathEqualsRowParser:
             assert_bits_equal(fast_path(path, n_min, n_max, monkeypatch), io._read_rows(path, n_min, n_max))
 
 
+    @pytest.mark.parametrize("prefix", ["# locked run, 780 nm\n", "\n", "t_s,transmission\n"])
+    def test_header_on_line_two(self, tmp_path, prefix, monkeypatch):
+        # a header after a comment, a blank line or another header stays on numpy's path
+        assert main(["--outdir", str(tmp_path), "synth", "lock", "--seed", "5"]) == 0
+        plain = tmp_path / "lock_locked.csv"
+        moved = tmp_path / "moved.csv"
+        moved.write_bytes(prefix.encode() + plain.read_bytes())
+        parsed = fast_path(moved, 2, 2, monkeypatch)
+        assert_bits_equal(parsed, io.read_columns(plain, 2, 2))
+        assert_bits_equal(parsed, io._read_rows(moved, 2, 2))
+
+
 # (file text, n_min, n_max, the data rows, or the line an error names)
 CASES = {
     "header": ("time,counts\n1.5,2\n3,4\n", 2, 2, [[1.5, 2.0], [3.0, 4.0]]),

@@ -7,6 +7,20 @@ from microcav import stack as st
 from microcav.stack import GeometryError
 
 
+def design_mirror_index(center_wavelength_nm, pairs, n_low, target_transmission_ppm, bracket=(1.7, 2.5)):
+    """High index that makes a quarter-wave coating on silica hit a target transmission.
+
+    The documented coating fixture froze this value as constants.MIRROR_N_HIGH.
+    """
+    from scipy.optimize import brentq
+
+    def miss(nh):
+        s = st.build_quarter_wave_stack(center_wavelength_nm, nh, n_low, pairs)
+        return tmm.stack_response(s, center_wavelength_nm).T - target_transmission_ppm * 1e-6
+
+    return float(brentq(miss, *bracket, xtol=1e-9))
+
+
 class TestMaterialAndLayer:
     def test_material_invariants(self):
         with pytest.raises(GeometryError):
@@ -70,7 +84,7 @@ class TestQuarterWaveBuilder:
         assert a == b
 
     def test_tuned_fixture_index(self):
-        nh = tmm.design_mirror_index(736.0, 11, 1.46, 1480.0)
+        nh = design_mirror_index(736.0, 11, 1.46, 1480.0)
         assert nh == pytest.approx(constants.MIRROR_N_HIGH, abs=1e-4)
 
 
