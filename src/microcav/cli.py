@@ -121,9 +121,7 @@ def cmd_dispersion(args) -> int:
     dmap = dispersion_map(assembly, (args.gap_min, args.gap_max), args.map_gap_steps, window, args.wl_steps)
     io.write_csv(out / "map.csv", ["gap_nm", "wavelength_nm", "transmission"], columns=dmap.columns())
 
-    resonances = []
-    for g in gaps:
-        resonances.extend(find_resonances(assembly, float(g), window))
+    resonances = find_resonances(assembly, gaps, window)
     io.write_json(out / "resonances.json", {
         "meta": _provenance(args, inputs, seed=args.seed),
         "resonances": [p.to_dict() for p in resonances],

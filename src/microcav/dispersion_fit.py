@@ -127,8 +127,16 @@ def fit_dispersion(
 
     window = (float(wls.min() - window_margin_nm), float(wls.max() + window_margin_nm))
 
+    # every model shares the template's fiber mirror and this grid: the first
+    # build lends its fiber-coating response to all later ones
+    lender: PhaseModel | None = None
+
     def build_pm(t_d, t_g2):
-        return PhaseModel(_with_membrane(template, t_d, t_g2), window[0], window[1], step_nm=0.05)
+        nonlocal lender
+        pm = PhaseModel(_with_membrane(template, t_d, t_g2), window[0], window[1], step_nm=0.05, fiber_from=lender)
+        if lender is None:
+            lender = pm
+        return pm
 
     # Anchor scan: mode-order assignment by phase rounding only works when
     # the model phase is within ~pi of the truth at every point, which an
@@ -163,7 +171,7 @@ def fit_dispersion(
     free_gap2 = fix_gap2_nm is None
 
     def run(q_assign: np.ndarray) -> DispersionFit:
-        cache: dict = {}
+        cache: dict = {(t_d0, t_g20): pm0}  # the fit starts at the anchor node
 
         def model(x, *params):
             if free_gap2:
@@ -173,7 +181,11 @@ def fit_dispersion(
                 t_g2 = fix_gap2_nm
             key = (t_d, t_g2)
             if key not in cache:
-                cache.clear()
+                # a forward-difference Jacobian visits the base point, one
+                # point per model parameter, then the base again for the
+                # offset: the last three models cover it
+                if len(cache) == 3:
+                    del cache[next(iter(cache))]
                 cache[key] = build_pm(t_d, t_g2)
             pm = cache[key]
             return np.array([_solve_or_extrapolate(pm, q, g + off) for g, q in zip(gaps, q_assign)])

@@ -81,22 +81,6 @@ def load_emitter(path: str | Path) -> EmitterParams:
         return emitter_from_config(json.load(fh))
 
 
-@dataclass(frozen=True)
-class PurcellResult:
-    """Enhancement figures plus the decay-rate bookkeeping, rates in 1/ns."""
-
-    f_p: float
-    q_eff: float
-    xi: float
-    beta_collection: float
-    tau_ratio: float  # tau_0 / tau_c
-    gamma_tot: float
-    gamma_nr: float
-    gamma_r_fs: float
-    gamma_r_cav: float
-    gamma_r_zpl: float
-
-
 def xi_overlap(profile: FieldProfile, implant_depth_nm: float, dipole_angle_rad: float = 0.0, host: str = "diamond") -> float:
     """Field overlap |E(z_em)| / max |E| in the host layer, times |cos(angle)|.
 
@@ -158,32 +142,6 @@ def beta_collection(f_p: float) -> float:
     if f_p < 0:
         raise ValueError("F_p must be >= 0")
     return f_p / (1.0 + f_p)
-
-
-def rate_decomposition(tau0_ns: float, eta_qe: float, zeta: float, f_p: float, xi: float = 1.0, q_eff: float = 0.0) -> PurcellResult:
-    """Decay-rate bookkeeping for given free-space lifetime and enhancement.
-
-    gamma_tot = gamma_nr + gamma_r,fs + gamma_r,cav with
-    gamma_r,cav = zeta * F_p * gamma_r and gamma_r,zpl = zeta * gamma_r;
-    satisfies 1/tau_c = gamma_tot identically.
-    """
-    gamma0 = 1.0 / tau0_ns
-    gamma_r = eta_qe * gamma0
-    gamma_nr = (1.0 - eta_qe) * gamma0
-    gamma_r_cav = zeta * f_p * gamma_r
-    gamma_tot = gamma_nr + gamma_r + gamma_r_cav
-    return PurcellResult(
-        f_p=f_p,
-        q_eff=q_eff,
-        xi=xi,
-        beta_collection=beta_collection(f_p),
-        tau_ratio=lifetime_ratio(f_p, eta_qe, zeta),
-        gamma_tot=gamma_tot,
-        gamma_nr=gamma_nr,
-        gamma_r_fs=gamma_r,
-        gamma_r_cav=gamma_r_cav,
-        gamma_r_zpl=zeta * gamma_r,
-    )
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,6 @@ class LayerStack:
             raise GeometryError("stack has no layers")
         object.__setattr__(self, "layers", tuple(self.layers))
 
-    @property
-    def total_thickness_nm(self) -> float:
-        return sum(l.thickness_nm for l in self.layers)
-
     def boundaries_nm(self) -> list[float]:
         """z of every interface, starting at 0 (entry surface)."""
         z = [0.0]
@@ -177,12 +173,6 @@ class CavityAssembly:
     @property
     def membrane_thickness_nm(self) -> float:
         return 0.0 if self.membrane is None else self.membrane.thickness_nm
-
-    def intracavity_optical_nm(self) -> float:
-        """Optical path between the coatings: gap + n_d*t_d + gap2."""
-        t_d = self.membrane_thickness_nm
-        n_d = 1.0 if self.membrane is None else self.membrane.material.n
-        return self.gap_nm + n_d * t_d + self.gap2_nm
 
     def geometric_length_um(self) -> float:
         """Mirror-to-mirror distance reduced for Gaussian-beam propagation.
@@ -287,12 +277,6 @@ def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
     _, rest, _, _ = split_at_gap(assembly)
     gap = (Layer(AIR, assembly.gap_nm),) if assembly.gap_nm > 0 else ()
     return LayerStack(assembly.fiber_mirror.substrate, assembly.fiber_mirror.layers + gap + rest.layers, rest.exit)
-
-
-def gap_window_nm(assembly: CavityAssembly) -> tuple[float, float]:
-    """(z_start, z_end) of the fiber-side air gap inside the flattened stack."""
-    z0 = sum(l.thickness_nm for l in assembly.fiber_mirror.layers)
-    return z0, z0 + assembly.gap_nm
 
 
 # ---------------------------------------------------------------------------

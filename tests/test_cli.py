@@ -127,6 +127,12 @@ class TestErrorPaths:
         code = run(tmp_path, "fit-spectrum", "--model", "lorentz", "--data", str(bad))
         assert code == 1
 
+    def test_negative_gap_rejected_before_output(self, tmp_path, capsys):
+        assert run(tmp_path, "dispersion", "--gap-min", "-100") == 1
+        assert "gaps must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+        assert not (tmp_path / "resonances.json").exists()
+
     def test_ragged_csv_rejected(self, tmp_path):
         bad = tmp_path / "ragged.csv"
         bad.write_text("1.0,2.0\n3.0,4.0,5.0\n")

@@ -63,3 +63,25 @@ class TestDispersionFit:
         pts = find_resonances(membrane_assembly, 13_500.0, (725.0, 750.0))
         arr = points_from_resonances(pts)
         assert arr.shape == (len(pts), 2)
+
+    def test_models_share_the_fiber_and_the_jacobian_base(self, synthetic_points, monkeypatch):
+        from microcav import resonance
+
+        builds = []
+        init = resonance.PhaseModel.__init__
+
+        def spy(pm, assembly, *args, fiber_from=None, **kwargs):
+            builds.append(((assembly.membrane_thickness_nm, assembly.gap2_nm), fiber_from is None))
+            init(pm, assembly, *args, fiber_from=fiber_from, **kwargs)
+
+        monkeypatch.setattr(resonance.PhaseModel, "__init__", spy)
+        fit = fit_dispersion(synthetic_points[0], st.default_assembly())
+        assert "order_retry" not in fit.fit.diagnostics
+        # one build sweeps the fiber coating; every later one borrows it
+        assert [fresh for _, fresh in builds] == [True] + [False] * (len(builds) - 1)
+        # a forward-difference Jacobian comes back to its base point after
+        # one build per parameter: that model must still be cached
+        last = {}
+        for i, (key, _) in enumerate(builds):
+            assert i - last.get(key, -4) >= 4, f"model {key} rebuilt after {i - last[key] - 1} other builds"
+            last[key] = i

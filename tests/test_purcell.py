@@ -125,18 +125,6 @@ class TestLifetimeRatio:
         assert purcell.lifetime_ratio(0.1, 1.0, 0.8) - 1.0 == pytest.approx(2 * base)
         assert purcell.lifetime_ratio(0.1, 0.5, 0.4) - 1.0 == pytest.approx(base / 2)
 
-    def test_rate_bookkeeping_identity(self, rng):
-        for _ in range(20):
-            tau0 = rng.uniform(0.5, 4.0)
-            eta = rng.uniform(0.0, 1.0)
-            zeta = rng.uniform(0.1, 1.0)
-            f_p = rng.uniform(0.0, 2.0)
-            r = purcell.rate_decomposition(tau0, eta, zeta, f_p)
-            tau_c = tau0 / r.tau_ratio
-            assert r.gamma_tot == pytest.approx(1.0 / tau_c, rel=1e-12)
-            assert r.gamma_nr + r.gamma_r_fs + r.gamma_r_cav == pytest.approx(r.gamma_tot, rel=1e-12)
-            assert r.gamma_r_zpl == pytest.approx(zeta * r.gamma_r_fs, rel=1e-12)
-
 
 class TestLifetimeCurve:
     def test_monotone_toward_tau0(self, membrane_assembly):

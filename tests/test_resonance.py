@@ -23,7 +23,7 @@ def leaky_hard_assembly():
 
 class TestEmptyCavity:
     def test_resonances_at_2l_over_q(self, leaky_hard_assembly):
-        pts = find_resonances(leaky_hard_assembly, 15_000.0, (745.0, 775.0), max_grid=200_000)
+        pts = find_resonances(leaky_hard_assembly, 15_000.0, (745.0, 775.0))
         assert len(pts) >= 2
         for p in pts:
             assert p.wavelength_nm == pytest.approx(2 * 15_000.0 / p.q_gap, rel=1e-4)
@@ -32,8 +32,8 @@ class TestEmptyCavity:
     def test_fsr_spacing(self, leaky_hard_assembly):
         # the kappa-mirror transmission is strongly wavelength-dependent, so
         # the shortest-wavelength peak is orders of magnitude weaker: lower
-        # the relative prominence cut for this oracle fixture
-        pts = find_resonances(leaky_hard_assembly, 15_000.0, (712.0, 778.0), rel_prominence=1e-6, max_grid=400_000)
+        # the relative height cut for this oracle fixture
+        pts = find_resonances(leaky_hard_assembly, 15_000.0, (712.0, 778.0), rel_prominence=1e-6)
         wls = sorted(p.wavelength_nm for p in pts)
         assert len(wls) >= 3
         for a, b in zip(wls, wls[1:]):
@@ -41,7 +41,7 @@ class TestEmptyCavity:
             assert b - a == pytest.approx(fsr, rel=0.02)
 
     def test_mode_orders_increment_by_one(self, leaky_hard_assembly):
-        pts = find_resonances(leaky_hard_assembly, 15_000.0, (712.0, 778.0), rel_prominence=1e-6, max_grid=400_000)
+        pts = find_resonances(leaky_hard_assembly, 15_000.0, (712.0, 778.0), rel_prominence=1e-6)
         qs = [p.q_gap for p in sorted(pts, key=lambda p: p.wavelength_nm)]
         assert len(qs) >= 3
         assert all(a - b == 1 for a, b in zip(qs, qs[1:]))
@@ -114,7 +114,7 @@ class TestMembraneDispersion:
 
     def test_no_peaks_returns_empty(self, leaky_hard_assembly):
         # a window tighter than one FSR can miss every resonance
-        pts = find_resonances(leaky_hard_assembly, 15_000.0, (751.0, 753.0), max_grid=50_000)
+        pts = find_resonances(leaky_hard_assembly, 15_000.0, (751.0, 753.0))
         assert pts == []
 
     def test_map_needs_two_steps(self, membrane_assembly):
@@ -230,3 +230,179 @@ class TestPhaseModelReuse:
             gap, _ = pm.retune_gap(737.25, g0)
             cav = membrane_assembly.with_gap(gap)
             assert effective_length(cav, 737.25, pm=pm) == effective_length(cav, 737.25)
+
+
+# ---------------------------------------------------------------------------
+# resonances as phase-condition roots, and the Airy composition
+# ---------------------------------------------------------------------------
+
+DEFAULT_GAPS = np.linspace(12_800.0, 14_400.0, 9)  # the dispersion command's defaults
+DEFAULT_WINDOW = (715.0, 755.0)
+
+
+def _count_layer_points(monkeypatch):
+    """Patch every binding of tmm.amplitude_coefficients to tally layers x wavelengths."""
+    from microcav import resonance
+
+    tally = [0]
+    original = tmm.amplitude_coefficients
+
+    def counted(stack, wavelength_nm):
+        tally[0] += len(stack.layers) * np.asarray(wavelength_nm).size
+        return original(stack, wavelength_nm)
+
+    monkeypatch.setattr(tmm, "amplitude_coefficients", counted)
+    monkeypatch.setattr(resonance, "amplitude_coefficients", counted)
+    return tally
+
+
+def _oracle_cases(membrane_assembly, leaky_hard_assembly):
+    return [
+        (membrane_assembly, DEFAULT_GAPS, DEFAULT_WINDOW, {}),
+        (membrane_assembly, 2_100.0, (680.0, 770.0), {}),
+        (leaky_hard_assembly, 15_000.0, (712.0, 778.0), {"rel_prominence": 1e-6}),
+    ]
+
+
+def _golden_max(f, a, b, tol=1e-11):
+    """Argmax of a unimodal f on [a, b] by golden-section search."""
+    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _fd_character(pm, q, gap_nm, wl_nm, delta_gap_nm=2.0):
+    """The former classification: a +-2 nm finite difference of the solved wavelength."""
+    try:
+        slope = abs(pm.solve_wavelength(q, gap_nm + delta_gap_nm) - pm.solve_wavelength(q, gap_nm - delta_gap_nm))
+    except NoResonanceError:
+        return "mixed"
+    slope /= 2.0 * delta_gap_nm
+    if slope >= 0.60 * wl_nm / gap_nm:
+        return "air-like"
+    if slope <= 0.25 * wl_nm / gap_nm:
+        return "diamond-like"
+    return "mixed"
+
+
+class TestPhaseRoots:
+    def test_transmission_maxima_oracle(self, membrane_assembly, leaky_hard_assembly):
+        # each resonance sits on a golden-section maximum of the planar-TMM T
+        checked = 0
+        for asm, gaps, window, kw in _oracle_cases(membrane_assembly, leaky_hard_assembly):
+            pm = PhaseModel(asm, window[0] - 5.0, window[1] + 5.0)
+            for p in find_resonances(asm, gaps, window, **kw):
+                stack = st.flatten_assembly(asm.with_gap(p.gap_nm))
+                half = 0.3 * pm.linewidth_nm(p.wavelength_nm, p.gap_nm)
+                peak = _golden_max(lambda w: float(tmm.transmission(stack, w)), p.wavelength_nm - half, p.wavelength_nm + half)
+                assert abs(p.wavelength_nm - peak) <= 1e-6
+                checked += 1
+        assert checked == 22 + 3 + 4
+
+    def test_slope_character_matches_finite_difference(self, membrane_assembly, leaky_hard_assembly):
+        seen = set()
+        for asm, gaps, window, kw in _oracle_cases(membrane_assembly, leaky_hard_assembly):
+            pm = PhaseModel(asm, window[0] - 5.0, window[1] + 5.0)
+            for p in find_resonances(asm, gaps, window, **kw):
+                assert p.character == _fd_character(pm, p.q_gap, p.gap_nm, p.wavelength_nm)
+                seen.add(p.character)
+        assert seen == {"air-like", "diamond-like", "mixed"}
+
+    def test_gap_array_equals_scalar_calls(self, membrane_assembly):
+        together = find_resonances(membrane_assembly, DEFAULT_GAPS, DEFAULT_WINDOW)
+        one_by_one = [p for g in DEFAULT_GAPS for p in find_resonances(membrane_assembly, float(g), DEFAULT_WINDOW)]
+        assert together == one_by_one
+        assert len(together) == 22
+
+    def test_orders_label_the_phase_condition(self, membrane_assembly):
+        pm = PhaseModel(membrane_assembly, 710.0, 760.0)
+        for p in find_resonances(membrane_assembly, DEFAULT_GAPS, DEFAULT_WINDOW):
+            assert pm.mode_order(p.wavelength_nm, p.gap_nm) == p.q_gap
+            assert abs(pm.solve_wavelength(p.q_gap, p.gap_nm) - p.wavelength_nm) < 1e-4
+
+    def test_height_cut(self, leaky_hard_assembly):
+        # the kappa-mirror cavity transmits 100x less per FSR toward the blue
+        default = find_resonances(leaky_hard_assembly, 15_000.0, (712.0, 778.0))
+        loose = find_resonances(leaky_hard_assembly, 15_000.0, (712.0, 778.0), rel_prominence=1e-6)
+        assert [p.q_gap for p in default] == [40, 39]
+        assert [p.q_gap for p in loose] == [42, 41, 40, 39]
+
+    def test_negative_gaps_rejected(self, membrane_assembly):
+        with pytest.raises(st.GeometryError, match="gaps must be >= 0"):
+            find_resonances(membrane_assembly, [13_000.0, -1.0], DEFAULT_WINDOW)
+        with pytest.raises(st.GeometryError, match="gaps must be >= 0"):
+            dispersion_map(membrane_assembly, (-500.0, 13_000.0), 5, DEFAULT_WINDOW, 10)
+
+    def test_fiber_from_reuses_the_fiber_half(self, membrane_assembly, monkeypatch):
+        lender = PhaseModel(membrane_assembly, 715.0, 755.0, step_nm=0.05)
+        other = st.default_assembly(gap2_nm=100.0)
+        tally = _count_layer_points(monkeypatch)
+        borrowed = PhaseModel(other, 715.0, 755.0, step_nm=0.05, fiber_from=lender)
+        _, rest, _, _ = st.split_at_gap(other)
+        assert tally[0] == len(rest.layers) * borrowed.wl.size  # only the rest of the stack is swept
+        fresh = PhaseModel(other, 715.0, 755.0, step_nm=0.05)
+        assert np.array_equal(borrowed.phi_mirrors, fresh.phi_mirrors)
+        assert np.array_equal(borrowed.mag, fresh.mag)
+        with pytest.raises(ValueError, match="wavelength grid"):
+            PhaseModel(other, 715.0, 756.0, step_nm=0.05, fiber_from=lender)
+
+
+class TestWorkCount:
+    """Work bounds in TMM layer-points (layers x wavelengths), free of timing."""
+
+    def test_find_resonances_default_gaps(self, membrane_assembly, monkeypatch):
+        tally = _count_layer_points(monkeypatch)
+        assert len(find_resonances(membrane_assembly, DEFAULT_GAPS, DEFAULT_WINDOW)) == 22
+        assert 0 < tally[0] < 500_000
+
+    def test_dispersion_map_cli_defaults(self, membrane_assembly, monkeypatch):
+        tally = _count_layer_points(monkeypatch)
+        dmap = dispersion_map(membrane_assembly, (12_800.0, 14_400.0), 60, DEFAULT_WINDOW, 600)
+        assert dmap.t.shape == (60, 600)
+        assert 0 < tally[0] < 100_000
+
+
+def _mirror(draw, hst):
+    layers = draw(hst.lists(
+        hst.tuples(hst.floats(1.0, 3.0), hst.sampled_from([0.0, 1e-3, 0.05]), hst.floats(20.0, 300.0)),
+        min_size=1, max_size=6))
+    return st.Mirror(st.Material("substrate", draw(hst.floats(1.0, 2.0))),
+                     tuple(st.Layer(st.Material("m", n, k), d) for n, k, d in layers))
+
+
+class TestAiryComposition:
+    def test_matches_planar_tmm(self):
+        # lossless and absorbing coatings, with and without a (lossy) membrane,
+        # second gap zero or not, first gap zero or not
+        hypothesis = pytest.importorskip("hypothesis")
+        hst = hypothesis.strategies
+        from microcav.resonance import split_response
+
+        @hst.composite
+        def assemblies(draw):
+            membrane = None
+            if draw(hst.booleans()):
+                material = st.Material("diamond", draw(hst.floats(1.5, 2.6)), draw(hst.sampled_from([0.0, 1e-4, 0.01])))
+                membrane = st.Layer(material, draw(hst.floats(100.0, 3000.0)))
+            gap, gap2 = (draw(hst.one_of(hst.just(0.0), hst.floats(1.0, 20_000.0))) for _ in range(2))
+            return st.CavityAssembly(_mirror(draw, hst), gap, membrane, gap2, _mirror(draw, hst), r_c_um=45.0)
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(assemblies(), hst.lists(hst.floats(500.0, 1000.0), min_size=1, max_size=8))
+        def check(asm, wls):
+            wl = np.asarray(wls)
+            airy = split_response(asm, wl).transmission(asm.gap_nm)
+            planar = tmm.transmission(st.flatten_assembly(asm), wl)
+            np.testing.assert_allclose(airy, planar, rtol=1e-9, atol=0.0)
+
+        check()

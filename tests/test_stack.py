@@ -177,4 +177,4 @@ class TestJsonConfig:
         cfg["gap2_nm"] = 0.0
         asm = st.assembly_from_config(cfg)
         assert asm.membrane is None
-        assert asm.intracavity_optical_nm() == asm.gap_nm
+        assert asm.gap2_nm == 0.0

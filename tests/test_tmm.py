@@ -132,7 +132,7 @@ class TestFieldProfile:
         assert np.max(np.abs(prof.E)) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(prof.z_nm) > 0)
         assert prof.z_nm[0] == 0.0
-        assert prof.z_nm[-1] == pytest.approx(s.total_thickness_nm)
+        assert prof.z_nm[-1] == pytest.approx(sum(l.thickness_nm for l in s.layers))
 
     def test_min_samples_rejected(self, membrane_assembly):
         s = st.flatten_assembly(membrane_assembly)
@@ -146,7 +146,8 @@ class TestFieldProfile:
         wl, _ = pm.nearest_resonance(737.0, hard_assembly.gap_nm)
         s = st.flatten_assembly(hard_assembly.with_gap(hard_assembly.gap_nm))
         prof = tmm.field_profile(s, wl, samples_per_layer=40000)
-        gap0, gap1 = st.gap_window_nm(hard_assembly)
+        gap0 = sum(l.thickness_nm for l in hard_assembly.fiber_mirror.layers)
+        gap1 = gap0 + hard_assembly.gap_nm
         sel = (prof.z_nm > gap0 + 50) & (prof.z_nm < gap1 - 50)
         intensity = np.abs(prof.E[sel]) ** 2
         from scipy.signal import find_peaks
