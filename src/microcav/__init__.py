@@ -18,7 +18,7 @@ from .constants import TOOLKIT_VERSION as __version__
 from .fitting import DegenerateFitWarning, FitError, FitResult, lm_fit
 from .metrics import LossBudget, ModeGeometry, finesse_from_losses, mode_volume, mode_waist, quality_factor, roughness_loss
 from .purcell import EmitterParams, beta_collection, effective_q, lifetime_ratio, purcell_factor, xi_overlap
-from .resonance import ResonancePoint, dispersion_map, effective_length, find_resonances
+from .resonance import ResonancePoint, StandingWave, dispersion_map, effective_length, find_resonances
 from .stack import AIR, DIAMOND, SILICA, CavityAssembly, Layer, LayerStack, Material, Mirror, build_mirror, build_quarter_wave_stack, default_assembly, flatten_assembly, hard_mirror, load_assembly
 from .tmm import FieldProfile, StackResponse, field_profile, stack_response
 
@@ -41,6 +41,7 @@ __all__ = [
     "ModeGeometry",
     "ResonancePoint",
     "StackResponse",
+    "StandingWave",
     "beta_collection",
     "build_mirror",
     "build_quarter_wave_stack",

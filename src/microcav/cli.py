@@ -2,10 +2,10 @@
 
 One command per analysis pipeline; numeric tables go to CSV, structured
 results to JSON, plotting is left to external tools.  Every JSON output
-embeds the toolkit version, the seed (when randomness is involved) and
-SHA-256 checksums of the input files, so results are reproducible and
-auditable.  Exit code 0 means every requested fit converged and no
-precondition failed.
+embeds the toolkit version, the seed (when randomness is involved), the
+membrane loss (when a loss budget is involved) and SHA-256 checksums of the
+input files, so results are reproducible and auditable.  Exit code 0 means
+every requested fit converged and no precondition failed.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ def _provenance(args, inputs: list[str | Path], seed: int | None = None) -> dict
             "c_m_per_s": constants.C_M_PER_S,
             "n_diamond_default": constants.N_DIAMOND,
             "debye_waller_default": constants.DEBYE_WALLER_DEFAULT,
-            "mirror_transmission_ppm": constants.MIRROR_TRANSMISSION_PPM,
-            "membrane_excess_loss_ppm": constants.MEMBRANE_EXCESS_LOSS_PPM,
         },
     }
+    if getattr(args, "membrane_loss", None) is not None:
+        meta["membrane_loss_ppm"] = args.membrane_loss
     if seed is not None:
         meta["seed"] = seed
     return meta
@@ -88,7 +88,7 @@ def cmd_metrics(args) -> int:
     assembly = _load_assembly(args, inputs)
     wl = args.wavelength
     pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
-    gap_res, geometry = operating_point(pm, wl, args.gap if args.gap is not None else assembly.gap_nm)
+    gap_res, geometry, _ = operating_point(pm, wl, args.gap if args.gap is not None else assembly.gap_nm)
     budget = metrics.loss_budget(assembly, wl, args.membrane_loss)
     finesse = metrics.finesse_from_losses(budget)
     q_c = metrics.quality_factor(geometry.effective_length_um, wl, finesse)

@@ -3,7 +3,8 @@
 The enhancement chain for an emitter ensemble in the membrane:
 
 * xi, the spatial/directional overlap of the dipole with the standing
-  wave, from the intracavity field profile at the implantation depth;
+  wave at the implantation depth, read from the same per-layer field
+  solution as L_eff;
 * Q_eff, the harmonic combination of the ensemble and cavity quality
   factors;
 * F_p = xi^2 * 3 (lambda/n)^3 Q_eff / (4 pi^2 V_m);
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import constants, metrics
 from .fitting import FitResult, lm_fit
-from .resonance import NoResonanceError, PhaseModel, effective_length
-from .stack import CavityAssembly, flatten_assembly, split_at_gap
-from .tmm import FieldProfile, evaluate_field
+# effective_length stays bound here, where the benchmark's tracer and its self-test wrap it
+from .resonance import NoResonanceError, PhaseModel, StandingWave, effective_length, resonant_wave  # noqa: F401
+from .stack import CavityAssembly
 
 
 @dataclass(frozen=True)
@@ -81,36 +82,21 @@ def load_emitter(path: str | Path) -> EmitterParams:
         return emitter_from_config(json.load(fh))
 
 
-def xi_overlap(profile: FieldProfile, implant_depth_nm: float, dipole_angle_rad: float = 0.0, host: str = "diamond") -> float:
-    """Field overlap |E(z_em)| / max |E| in the host layer, times |cos(angle)|.
+def xi_overlap(wave: StandingWave, implant_depth_nm: float, dipole_angle_rad: float = 0.0) -> float:
+    """Field overlap |E(z_em)| / max |E| in the membrane, times |cos(angle)|.
 
-    ``implant_depth_nm`` is measured from the host layer's entry-side
-    surface (the one facing the fiber).  Use a densely sampled profile;
-    the overlap interpolates |E|^2 between profile samples.
+    Exact on the per-layer solution: |a e^{ikz} + b e^{-ikz}|^2 at the
+    implant depth over its peak in the membrane layer, which ``wave`` locates
+    by position.  ``implant_depth_nm`` is measured from the membrane's
+    fiber-facing surface.
     """
-    z0, z1 = profile.segment(host)
-    if not 0.0 <= implant_depth_nm <= (z1 - z0):
-        raise ValueError(
-            f"implant depth {implant_depth_nm} nm outside the {host} layer (0..{z1 - z0:.1f} nm)"
-        )
-    sel = (profile.z_nm >= z0) & (profile.z_nm <= z1)
-    if np.count_nonzero(sel) < 8:
-        raise ValueError("profile sampling too coarse inside the host layer")
-    z = profile.z_nm[sel] - z0
-    intensity = np.abs(profile.E[sel]) ** 2
-    e2 = np.interp(implant_depth_nm, z, intensity)
-    return float(np.sqrt(e2 / np.max(intensity)) * abs(np.cos(dipole_angle_rad)))
-
-
-def _membrane_xi(assembly: CavityAssembly, emitter: EmitterParams, samples_per_layer: int = 600) -> float:
-    """xi_overlap on the membrane's samples of field_profile(...), found by layer index, not material name."""
-    stack, j = flatten_assembly(assembly), split_at_gap(assembly)[3]
-    (z0, z1), layer, wl = stack.boundaries_nm()[j:j + 2], stack.layers[j], emitter.zpl_wavelength_nm
-    z = np.append(z0 + np.linspace(0.0, layer.thickness_nm, samples_per_layer, endpoint=False), z1)
-    E = evaluate_field(stack, wl, z)
-    membrane = FieldProfile(z, E / np.max(np.abs(E)), np.full(z.shape, layer.material.n),
-                            ((z0, z1, layer.material.name),), wl)
-    return xi_overlap(membrane, emitter.implant_depth_nm, emitter.dipole_angle_rad, host=layer.material.name)
+    j = wave.i_membrane
+    if j is None:
+        raise ValueError("the emitters sit in the membrane, but the assembly has no membrane")
+    thickness = wave.stack.layers[j].thickness_nm
+    if not 0.0 <= implant_depth_nm <= thickness:
+        raise ValueError(f"implant depth {implant_depth_nm} nm outside the membrane (0..{thickness:.1f} nm)")
+    return float(np.sqrt(wave.intensity(j, implant_depth_nm) / wave.peak_intensity(j)) * abs(np.cos(dipole_angle_rad)))
 
 
 def effective_q(q_em: float, q_c: float) -> float:
@@ -176,18 +162,21 @@ class LifetimePoint:
         }
 
 
-def operating_point(pm: PhaseModel, wavelength_nm: float, target_gap_nm: float) -> tuple[float, metrics.ModeGeometry]:
-    """Resonant gap nearest ``target_gap_nm`` and the mode geometry there.
+def operating_point(pm: PhaseModel, wavelength_nm: float,
+                    target_gap_nm: float) -> tuple[float, metrics.ModeGeometry, StandingWave]:
+    """Resonant gap nearest ``target_gap_nm``, the mode geometry there and its standing wave.
 
     Retunes the gap of ``pm.assembly`` so that ``wavelength_nm`` is on
-    resonance, then takes L_eff, the waist and V_m at that gap.
+    resonance, solves the field there once, and takes L_eff from that
+    solution, then the waist and V_m.  The wave serves the emitter overlap.
     """
     gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
     cav = pm.assembly.with_gap(gap)
-    l_eff = effective_length(cav, wavelength_nm, pm=pm)
+    wave = resonant_wave(cav, wavelength_nm, pm=pm)
+    l_eff = wave.effective_length_um()
     w0 = metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wavelength_nm)
     v_m = metrics.mode_volume(w0, l_eff)
-    return gap, metrics.ModeGeometry(w0, v_m, metrics.mode_volume_lambda3(v_m, wavelength_nm), l_eff, q)
+    return gap, metrics.ModeGeometry(w0, v_m, metrics.mode_volume_lambda3(v_m, wavelength_nm), l_eff, q), wave
 
 
 def _pipeline_point(
@@ -197,15 +186,14 @@ def _pipeline_point(
     finesse: float,
     tau0_ns: float,
     eta_qe: float,
-    samples_per_layer: int = 600,
 ) -> LifetimePoint:
     wl = emitter.zpl_wavelength_nm
     try:
-        gap, mode = operating_point(pm, wl, gap_nm)
+        gap, mode, wave = operating_point(pm, wl, gap_nm)
         l_eff, v_m = mode.effective_length_um, mode.mode_volume_um3
         q_c = metrics.quality_factor(l_eff, wl, finesse)
         q_eff = effective_q(emitter.q_em, q_c)
-        xi = _membrane_xi(pm.assembly.with_gap(gap), emitter, samples_per_layer)
+        xi = xi_overlap(wave, emitter.implant_depth_nm, emitter.dipole_angle_rad)
         f_p = purcell_factor(xi, wl, emitter.host_index, q_eff, v_m)
         tau = tau0_ns / lifetime_ratio(f_p, eta_qe, emitter.debye_waller)
         return LifetimePoint(gap, mode.mode_order, l_eff, mode.waist_um, v_m, q_c, q_eff, xi, f_p, tau)

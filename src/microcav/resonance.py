@@ -40,7 +40,7 @@ import numpy as np
 
 from . import constants
 from .stack import CavityAssembly, GeometryError, flatten_assembly, split_at_gap
-from .tmm import _wave_amplitudes, amplitude_coefficients
+from .tmm import _scale_factors, _wave_amplitudes, amplitude_coefficients
 
 
 class NoResonanceError(RuntimeError):
@@ -372,8 +372,11 @@ def dispersion_map(
 
 
 # ---------------------------------------------------------------------------
-# field-energy integrals and the effective length
+# the standing wave at an operating point, and what is read from it
 # ---------------------------------------------------------------------------
+
+# L_eff is defined within this many cavity linewidths of a resonance
+_RESONANCE_TOLERANCE_LINEWIDTHS = 0.5
 
 
 def _expm1_over(c: float, d: float) -> float:
@@ -423,67 +426,91 @@ def _layer_peak_intensity(a: complex, b: complex, k: complex, d: float) -> float
     return float(max(ends))
 
 
-def _energy_ratio(assembly: CavityAssembly, wavelength_nm: float, normalize: str) -> float:
-    """Integral of n^2 |E|^2 over the stack / its peak in the host layer.
+class StandingWave:
+    """The field of the flattened assembly at one wavelength, from one per-layer solve.
 
-    Per-layer log scales are referenced to the host layer, so extreme
-    scale separation (opaque mirrors) degrades gracefully instead of
-    over/underflowing.
+    In layer j the field is ``a_j e^{ik_j z} + b_j e^{-ik_j z}`` times the
+    layer's scale, z measured from the layer's entry face (``tmm._wave_amplitudes``).
+    ``i_gap`` and ``i_membrane`` are the layer indices of ``split_at_gap``, so
+    the membrane is found by position.  L_eff, the emitter overlap xi and the
+    membrane-interface weight all read this one solution.
     """
-    stack = flatten_assembly(assembly)
-    amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
 
-    if normalize == "auto":
-        normalize = "membrane" if assembly.membrane is not None else "gap"
-    _, _, i_gap, i_membrane = split_at_gap(assembly)
-    if normalize == "membrane":
-        if i_membrane is None:
-            raise ValueError("normalize='membrane' requires a membrane")
-        j_norm = i_membrane
-    elif normalize == "gap":
-        if assembly.gap_nm <= 0:
-            raise ValueError("normalize='gap' requires a nonzero gap")
-        j_norm = i_gap
-    else:
-        raise ValueError(f"unknown normalize mode {normalize!r}")
+    def __init__(self, assembly: CavityAssembly, wavelength_nm: float):
+        self.assembly = assembly
+        self.wavelength_nm = wavelength_nm
+        self.stack = flatten_assembly(assembly)
+        self.amps, self.log_scales, _, _ = _wave_amplitudes(self.stack, wavelength_nm)
+        _, _, self.i_gap, self.i_membrane = split_at_gap(assembly)
 
-    layer = stack.layers[j_norm]
-    a, b = amps[j_norm]
-    k = 2.0 * np.pi * layer.material.nc / wavelength_nm
-    peak = layer.material.n**2 * _layer_peak_intensity(a, b, k, layer.thickness_nm)
-    ls_norm = log_scales[j_norm]
+    def _layer(self, j: int):
+        """(a, b, k, thickness) of layer j."""
+        layer = self.stack.layers[j]
+        a, b = self.amps[j]
+        return a, b, 2.0 * np.pi * layer.material.nc / self.wavelength_nm, layer.thickness_nm
 
-    total = 0.0
-    for layer, (a, b), ls in zip(stack.layers, amps, log_scales):
-        k = 2.0 * np.pi * layer.material.nc / wavelength_nm
-        energy = layer.material.n**2 * _layer_energy(a, b, k, layer.thickness_nm)
-        if energy <= 0.0:
-            continue
-        log_term = 2.0 * (ls - ls_norm) + np.log(energy) - np.log(peak)
-        if log_term < -745.0:
-            continue
-        total += np.inf if log_term > 700.0 else np.exp(log_term)
-    return total
+    def intensity(self, j: int, z_nm):
+        """|a e^{ikz} + b e^{-ikz}|^2 at depths ``z_nm`` into layer j, in that layer's scale."""
+        a, b, k, _ = self._layer(j)
+        return np.abs(a * np.exp(1j * k * z_nm) + b * np.exp(-1j * k * z_nm)) ** 2
+
+    def peak_intensity(self, j: int) -> float:
+        """Max of ``intensity(j, z)`` over the layer."""
+        return _layer_peak_intensity(*self._layer(j))
+
+    def effective_length_um(self) -> float:
+        """2 * integral of n^2 |E|^2 over the stack / its peak in the host layer, in um.
+
+        The host is the membrane when there is one, else the gap.  Per-layer
+        log scales are referenced to the host layer, so extreme scale
+        separation (opaque mirrors) degrades gracefully instead of
+        over/underflowing.
+        """
+        if self.i_membrane is not None:
+            j_host = self.i_membrane
+        elif self.assembly.gap_nm > 0:
+            j_host = self.i_gap
+        else:
+            raise ValueError("an empty cavity needs a nonzero gap to host the mode")
+        peak = self.stack.layers[j_host].material.n**2 * self.peak_intensity(j_host)
+        ls_host = self.log_scales[j_host]
+
+        total = 0.0
+        for j, (layer, ls) in enumerate(zip(self.stack.layers, self.log_scales)):
+            energy = layer.material.n**2 * _layer_energy(*self._layer(j))
+            if energy <= 0.0:
+                continue
+            log_term = 2.0 * (ls - ls_host) + np.log(energy) - np.log(peak)
+            if log_term < -745.0:
+                continue
+            total += np.inf if log_term > 700.0 else np.exp(log_term)
+        return float(2.0 * total) * 1e-3
+
+    def membrane_interface_weight(self) -> float:
+        """n^2 |E|^2 at the membrane's fiber-facing surface over the peak intracavity n^2 |E|^2.
+
+        The membrane-side index is used at the boundary; the peak runs over
+        the gap, the membrane and the second gap, everything but the coatings.
+        """
+        if self.i_membrane is None:
+            raise ValueError("assembly has no membrane")
+        factors = _scale_factors(self.log_scales)
+        a, b = self.amps[self.i_membrane]
+        e2_if = abs((a + b) * factors[self.i_membrane]) ** 2
+        n_d = self.assembly.membrane.material.n
+        peak = 0.0
+        for j in range(self.i_gap, len(self.stack.layers) - len(self.assembly.plane_mirror.layers)):
+            peak = max(peak, self.stack.layers[j].material.n**2 * factors[j] ** 2 * self.peak_intensity(j))
+        return float(np.clip(n_d**2 * e2_if / peak, 0.0, 1.0))
 
 
-def effective_length(
-    assembly: CavityAssembly,
-    wavelength_nm: float,
-    normalize: str = "auto",
-    tolerance_linewidths: float = 0.5,
-    pm: PhaseModel | None = None,
-) -> float:
-    """Energy-weighted effective cavity length in um.
+def resonant_wave(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel | None = None) -> StandingWave:
+    """The standing wave of ``assembly`` at ``wavelength_nm``, which must be on resonance.
 
-    L_eff = 2 * integral of n^2 |E|^2 over the stack (mirror penetration
-    included) divided by the peak n^2 |E|^2 in the emitter's host layer
-    (the membrane when present, else the gap).  The factor 2 makes an
-    ideal hard-mirror empty cavity come out at its geometric length.
-
-    Requires the assembly to sit within ``tolerance_linewidths`` cavity
-    linewidths of a resonance, else the standing-wave normalization is
-    ill-defined and OffResonanceError is raised.  ``pm``, a PhaseModel of the
-    same assembly at any gap, saves building one; the result does not change.
+    Farther than half a cavity linewidth from a resonance the standing-wave
+    normalization is ill-defined, and OffResonanceError is raised.  ``pm``, a
+    PhaseModel of the same assembly at any gap, saves building one; the
+    result does not change.
     """
     pm = pm if pm is not None else PhaseModel(assembly, wavelength_nm - 5.0, wavelength_nm + 5.0)
     try:
@@ -491,39 +518,31 @@ def effective_length(
     except NoResonanceError as exc:
         raise OffResonanceError(str(exc)) from exc
     width = pm.linewidth_nm(wl_res, assembly.gap_nm)
-    if abs(wavelength_nm - wl_res) > tolerance_linewidths * width:
+    if abs(wavelength_nm - wl_res) > _RESONANCE_TOLERANCE_LINEWIDTHS * width:
         raise OffResonanceError(
             f"{wavelength_nm} nm is {abs(wavelength_nm - wl_res):.4g} nm from the nearest "
             f"resonance at {wl_res:.4f} nm (linewidth {width:.4g} nm)"
         )
-    return float(2.0 * _energy_ratio(assembly, wavelength_nm, normalize)) * 1e-3
+    return StandingWave(assembly, wavelength_nm)
+
+
+def effective_length(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel | None = None) -> float:
+    """Energy-weighted effective cavity length in um, at a resonant wavelength.
+
+    L_eff = 2 * integral of n^2 |E|^2 over the stack (mirror penetration
+    included) divided by the peak n^2 |E|^2 in the emitter's host layer
+    (the membrane when present, else the gap).  The factor 2 makes an
+    ideal hard-mirror empty cavity come out at its geometric length.
+    Raises OffResonanceError off resonance; ``pm`` as in :func:`resonant_wave`.
+    """
+    return resonant_wave(assembly, wavelength_nm, pm).effective_length_um()
 
 
 def membrane_interface_intensity(assembly: CavityAssembly, wavelength_nm: float) -> float:
     """Standing-wave weight of the membrane's fiber-facing surface.
 
     Returns n^2 |E|^2 at that interface over the peak intracavity
-    n^2 |E|^2, using the larger (membrane-side) index at the boundary;
-    this is the ``relative_intensity`` input of
-    :func:`microcav.metrics.roughness_loss`.
+    n^2 |E|^2 (:meth:`StandingWave.membrane_interface_weight`); this is the
+    ``relative_intensity`` input of :func:`microcav.metrics.roughness_loss`.
     """
-    from .tmm import _scale_factors
-
-    if assembly.membrane is None:
-        raise ValueError("assembly has no membrane")
-    stack = flatten_assembly(assembly)
-    amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
-    factors = _scale_factors(log_scales)
-    _, _, i_gap, j_mem = split_at_gap(assembly)
-    a, b = amps[j_mem]
-    e2_if = abs((a + b) * factors[j_mem]) ** 2
-    n_d = assembly.membrane.material.n
-
-    peak = 0.0
-    # the gap, the membrane and the second gap: all but the plane coating
-    for j in range(i_gap, len(stack.layers) - len(assembly.plane_mirror.layers)):
-        layer = stack.layers[j]
-        k = 2.0 * np.pi * layer.material.nc / wavelength_nm
-        aj, bj = amps[j]
-        peak = max(peak, layer.material.n**2 * factors[j] ** 2 * _layer_peak_intensity(aj, bj, k, layer.thickness_nm))
-    return float(np.clip(n_d**2 * e2_if / peak, 0.0, 1.0))
+    return StandingWave(assembly, wavelength_nm).membrane_interface_weight()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .stack import LayerStack
 
-__all__ = ["StackResponse", "FieldProfile", "stack_response", "field_profile", "evaluate_field", "interface_mismatch"]
+__all__ = ["StackResponse", "FieldProfile", "stack_response", "field_profile", "interface_mismatch"]
 
 
 @dataclass(frozen=True)
@@ -211,34 +211,6 @@ def _scale_factors(log_scales: np.ndarray) -> np.ndarray:
     ref = np.max(log_scales) if np.max(np.abs(log_scales)) > 600.0 else 0.0
     with np.errstate(under="ignore"):
         return np.exp(log_scales - ref)
-
-
-def evaluate_field(stack: LayerStack, wavelength_nm: float, z_nm) -> np.ndarray:
-    """Complex field at arbitrary depths.
-
-    In units of the incident wave (amplitude 1 in the entry medium) except
-    for near-opaque stacks, where fields are scaled to the largest layer
-    amplitude instead.  z is measured from the entry surface; points
-    exactly on an interface evaluate in the deeper layer (both sides agree
-    by continuity).  Points outside [0, total thickness] are clipped to
-    the surfaces.
-    """
-    z = np.atleast_1d(np.asarray(z_nm, dtype=float))
-    amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
-    factors = _scale_factors(log_scales)
-    edges = np.asarray(stack.boundaries_nm())
-    zc = np.clip(z, 0.0, edges[-1])
-    idx = np.clip(np.searchsorted(edges, zc, side="right") - 1, 0, len(stack.layers) - 1)
-    E = np.empty(z.shape, dtype=complex)
-    for j, layer in enumerate(stack.layers):
-        sel = idx == j
-        if not np.any(sel):
-            continue
-        k = 2.0 * np.pi * layer.material.nc / wavelength_nm
-        dz = zc[sel] - edges[j]
-        a, b = amps[j]
-        E[sel] = (a * np.exp(1j * k * dz) + b * np.exp(-1j * k * dz)) * factors[j]
-    return E if np.ndim(z_nm) else E[0]
 
 
 def field_profile(stack: LayerStack, wavelength_nm: float, samples_per_layer: int = 50) -> FieldProfile:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from microcav import resonance, tmm
 from microcav import stack as st
 
 
@@ -29,3 +30,13 @@ def hard_assembly():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def field_solves(monkeypatch):
+    """A list that grows by one per per-layer field solve (tmm._wave_amplitudes, at both of its bindings)."""
+    calls = []
+    solve = tmm._wave_amplitudes
+    for module in (tmm, resonance):
+        monkeypatch.setattr(module, "_wave_amplitudes", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls

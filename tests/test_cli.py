@@ -178,6 +178,21 @@ class TestMetricsCommand:
         assert run(tmp_path, "metrics", "--assembly", str(tmp_path / "a.json")) == 0
         assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 0.0
 
+    def test_one_field_solve(self, tmp_path, field_solves):
+        assert run(tmp_path, "metrics") == 0
+        assert len(field_solves) == 1
+
+    def test_provenance_records_the_membrane_loss_used(self, tmp_path):
+        data = tmp_path / "lifetimes.csv"
+        io.write_csv(data, ["l_eff_um", "tau_ns", "sigma_ns"], [(10.0, 1.32, 0.03), (15.0, 1.33, 0.03), (22.0, 1.34, 0.03)])
+        assert run(tmp_path, "metrics", "--membrane-loss", "500") == 0
+        assert run(tmp_path, "fit-lifetime", "--data", str(data), "--membrane-loss", "500") == 0
+        for name in ("metrics.json", "fit_lifetime.json"):
+            meta = json.loads((tmp_path / name).read_text())["meta"]
+            assert meta["membrane_loss_ppm"] == 500.0
+            assert not {"mirror_transmission_ppm", "membrane_excess_loss_ppm"} & set(meta["constants"])
+        assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 500.0
+
 
 class TestEmptyCavityPurcell:
     @pytest.mark.parametrize("command", ["purcell", "fit-lifetime"])

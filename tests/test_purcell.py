@@ -5,60 +5,69 @@ import pytest
 
 from microcav import constants, purcell, resonance, tmm
 from microcav import stack as st
+from microcav.peaks import find_peaks
 from microcav.purcell import EmitterParams, LifetimeModel, fit_lifetime_model, predict_lifetime_curve
 
 
 @pytest.fixture(scope="module")
-def cd_profile(membrane_assembly):
-    from microcav.resonance import PhaseModel
-
-    pm = PhaseModel(membrane_assembly, 730, 745)
+def cd_wave(membrane_assembly):
+    pm = resonance.PhaseModel(membrane_assembly, 730, 745)
     gap, _ = pm.retune_gap(constants.SIV_ZPL_CD_NM, 6000.0)
-    stack = st.flatten_assembly(membrane_assembly.with_gap(gap))
-    return tmm.field_profile(stack, constants.SIV_ZPL_CD_NM, samples_per_layer=800)
+    return resonance.StandingWave(membrane_assembly.with_gap(gap), constants.SIV_ZPL_CD_NM)
+
+
+@pytest.fixture(scope="module")
+def dense_membrane_profiles(membrane_assembly):
+    """Per gap (9, 15, 25 um, retuned): the standing wave, and depth and |E|^2 in the membrane
+    from field_profile at 40000 samples per layer."""
+    wl = constants.SIV_ZPL_CD_NM
+    pm = resonance.PhaseModel(membrane_assembly, wl - 10.0, wl + 10.0)
+    out = []
+    for gap_nm in (9000.0, 15000.0, 25000.0):
+        cav = membrane_assembly.with_gap(pm.retune_gap(wl, gap_nm)[0])
+        wave = resonance.StandingWave(cav, wl)
+        prof = tmm.field_profile(st.flatten_assembly(cav), wl, samples_per_layer=40000)
+        z0, z1 = prof.segments[wave.i_membrane][:2]
+        sel = (prof.z_nm >= z0) & (prof.z_nm <= z1)
+        out.append((wave, prof.z_nm[sel] - z0, np.abs(prof.E[sel]) ** 2))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cd_xi_profile(cd_wave):
+    """(depth, xi) through the membrane on a 0.1 nm grid."""
+    depth = np.linspace(0.0, 1420.0, 14_201)
+    return depth, np.array([purcell.xi_overlap(cd_wave, z, 0.0) for z in depth])
 
 
 class TestXiOverlap:
-    def test_antinode_gives_unity(self, cd_profile):
-        z0, z1 = cd_profile.segment("diamond")
-        sel = (cd_profile.z_nm >= z0) & (cd_profile.z_nm <= z1)
-        z_local = cd_profile.z_nm[sel] - z0
-        intensity = np.abs(cd_profile.E[sel]) ** 2
-        depth_antinode = float(z_local[np.argmax(intensity)])
-        xi = purcell.xi_overlap(cd_profile, depth_antinode, 0.0)
-        assert xi == pytest.approx(1.0, abs=1e-3)
+    def test_antinode_gives_unity(self, cd_xi_profile):
+        _, xi = cd_xi_profile
+        assert np.max(xi) == pytest.approx(1.0, abs=1e-3)
+        assert np.max(xi) <= 1.0 + 1e-12
 
-    def test_node_gives_zero(self, cd_profile):
-        z0, z1 = cd_profile.segment("diamond")
-        sel = (cd_profile.z_nm >= z0) & (cd_profile.z_nm <= z1)
-        z_local = cd_profile.z_nm[sel] - z0
-        intensity = np.abs(cd_profile.E[sel]) ** 2
-        interior = (z_local > 100) & (z_local < 1300)
-        depth_node = float(z_local[interior][np.argmin(intensity[interior])])
-        assert purcell.xi_overlap(cd_profile, depth_node, 0.0) < 0.05
+    def test_node_gives_zero(self, cd_xi_profile):
+        depth, xi = cd_xi_profile
+        interior = (depth > 100) & (depth < 1300)
+        assert np.min(xi[interior]) < 0.05
 
-    def test_implant_depth_near_first_antinode(self, cd_profile):
+    def test_implant_depth_near_first_antinode(self, cd_wave, cd_xi_profile):
         # design intent: the 75 nm implantation depth sits near the first
         # antinode below the fiber-facing surface (measured: ~60 nm)
-        from scipy.signal import find_peaks
-
-        z0, z1 = cd_profile.segment("diamond")
-        sel = (cd_profile.z_nm >= z0) & (cd_profile.z_nm <= z1)
-        z_local = cd_profile.z_nm[sel] - z0
-        intensity = np.abs(cd_profile.E[sel]) ** 2
-        peaks, _ = find_peaks(intensity)
-        first_depth = float(z_local[peaks[0]])
+        depth, xi = cd_xi_profile
+        peaks, _, _ = find_peaks(xi**2)
+        first_depth = float(depth[peaks[0]])
         assert 40.0 <= first_depth <= 110.0
-        assert purcell.xi_overlap(cd_profile, 75.0, 0.0) >= 0.9
+        assert purcell.xi_overlap(cd_wave, 75.0, 0.0) >= 0.9
 
-    def test_dipole_angle_projection(self, cd_profile):
-        xi0 = purcell.xi_overlap(cd_profile, 75.0, 0.0)
-        xi60 = purcell.xi_overlap(cd_profile, 75.0, np.pi / 3)
+    def test_dipole_angle_projection(self, cd_wave):
+        xi0 = purcell.xi_overlap(cd_wave, 75.0, 0.0)
+        xi60 = purcell.xi_overlap(cd_wave, 75.0, np.pi / 3)
         assert xi60 == pytest.approx(0.5 * xi0, rel=1e-9)
 
-    def test_outside_diamond_rejected(self, cd_profile):
+    def test_outside_diamond_rejected(self, cd_wave):
         with pytest.raises(ValueError, match="outside"):
-            purcell.xi_overlap(cd_profile, 5000.0, 0.0)
+            purcell.xi_overlap(cd_wave, 5000.0, 0.0)
 
 
 class TestEffectiveQ:
@@ -173,14 +182,17 @@ class TestLifetimeCurve:
         assert all(not p.flag for p in pts)
         assert len(builds) == 1
 
-    @pytest.mark.parametrize("depth_nm", [0.0, 75.0, 1419.9])
-    def test_membrane_xi_matches_full_profile(self, membrane_assembly, depth_nm):
-        emitter = EmitterParams(implant_depth_nm=depth_nm, dipole_angle_rad=0.3)
-        pm = resonance.PhaseModel(membrane_assembly, 727.0, 747.0)
-        cav = membrane_assembly.with_gap(pm.retune_gap(emitter.zpl_wavelength_nm, 9000.0)[0])
-        prof = tmm.field_profile(st.flatten_assembly(cav), emitter.zpl_wavelength_nm, samples_per_layer=600)
-        xi_full = purcell.xi_overlap(prof, depth_nm, 0.3)
-        assert purcell._membrane_xi(cav, emitter, 600) == pytest.approx(xi_full, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("depth_nm", [0.0, 75.0, 700.0, 1419.9])
+    def test_membrane_xi_matches_full_profile(self, dense_membrane_profiles, depth_nm):
+        # the exact overlap against a 40000-samples-per-layer profile, membrane found by position
+        for wave, z, intensity in dense_membrane_profiles:
+            oracle = np.sqrt(np.interp(depth_nm, z, intensity) / np.max(intensity)) * np.cos(0.3)
+            assert purcell.xi_overlap(wave, depth_nm, 0.3) == pytest.approx(oracle, rel=0.0, abs=1e-6)
+
+    def test_one_field_solve_per_point(self, membrane_assembly, field_solves):
+        pts = predict_lifetime_curve(membrane_assembly, np.linspace(6000.0, 30_000.0, 7), EmitterParams(), 1.36, 0.51)
+        assert all(not p.flag for p in pts)
+        assert len(field_solves) == 7
 
 
 @pytest.fixture(scope="module")
