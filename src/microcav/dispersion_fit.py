@@ -16,13 +16,16 @@ wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fitting import FitError, FitResult, lm_fit
 from .resonance import NoResonanceError, PhaseModel, ResonancePoint
-from .stack import CavityAssembly, Layer
+from .stack import CavityAssembly
+
+# the phase model covers the measured wavelengths plus this margin on each side
+_WINDOW_MARGIN_NM = 8.0
 
 
 @dataclass
@@ -55,14 +58,6 @@ def points_from_resonances(points: list[ResonancePoint]) -> np.ndarray:
     return np.array([[p.gap_nm, p.wavelength_nm] for p in points])
 
 
-def _with_membrane(template: CavityAssembly, t_d_nm: float, t_g2_nm: float) -> CavityAssembly:
-    if template.membrane is None:
-        raise ValueError("dispersion fitting requires a membrane in the template")
-    mem = Layer(template.membrane.material, t_d_nm, template.membrane.rough_top_nm)
-    depth = min(template.implant_depth_nm, t_d_nm)
-    return replace(template, membrane=mem, gap2_nm=t_g2_nm, implant_depth_nm=depth)
-
-
 def _solve_or_extrapolate(pm: PhaseModel, q: int, gap_nm: float) -> float:
     """Model wavelength for mode q; linear phase extrapolation off-grid.
 
@@ -91,7 +86,6 @@ def fit_dispersion(
     initial: dict | None = None,
     fix_gap2_nm: float | None = None,
     sigma_wavelength_nm: float = 0.05,
-    window_margin_nm: float = 8.0,
 ) -> DispersionFit:
     """Fit (t_d, t_g2, gap offset) to measured resonance points.
 
@@ -125,18 +119,9 @@ def fit_dispersion(
     if fix_gap2_nm is not None:
         init["t_g2_nm"] = fix_gap2_nm
 
-    window = (float(wls.min() - window_margin_nm), float(wls.max() + window_margin_nm))
-
-    # every model shares the template's fiber mirror and this grid: the first
-    # build lends its fiber-coating response to all later ones
-    lender: PhaseModel | None = None
-
-    def build_pm(t_d, t_g2):
-        nonlocal lender
-        pm = PhaseModel(_with_membrane(template, t_d, t_g2), window[0], window[1], step_nm=0.05, fiber_from=lender)
-        if lender is None:
-            lender = pm
-        return pm
+    # the one TMM build of the fit: every anchor node and trial point is this
+    # model with its membrane and second gap recomposed in closed form
+    base = PhaseModel(template, wls.min() - _WINDOW_MARGIN_NM, wls.max() + _WINDOW_MARGIN_NM, step_nm=0.05)
 
     # Anchor scan: mode-order assignment by phase rounding only works when
     # the model phase is within ~pi of the truth at every point, which an
@@ -154,7 +139,7 @@ def fit_dispersion(
     best_node = None
     for t_d in t_d_grid:
         for t_g2 in t_g2_grid:
-            pm = build_pm(t_d, t_g2)
+            pm = base.with_membrane(t_d, t_g2)
             phi0 = 4.0 * np.pi * gaps / wls + pm.mirror_phase(wls)
             for off in offsets:
                 miss = (phi0 + 4.0 * np.pi * off / wls) / (2.0 * np.pi)
@@ -171,23 +156,9 @@ def fit_dispersion(
     free_gap2 = fix_gap2_nm is None
 
     def run(q_assign: np.ndarray) -> DispersionFit:
-        cache: dict = {(t_d0, t_g20): pm0}  # the fit starts at the anchor node
-
         def model(x, *params):
-            if free_gap2:
-                t_d, t_g2, off = params
-            else:
-                t_d, off = params
-                t_g2 = fix_gap2_nm
-            key = (t_d, t_g2)
-            if key not in cache:
-                # a forward-difference Jacobian visits the base point, one
-                # point per model parameter, then the base again for the
-                # offset: the last three models cover it
-                if len(cache) == 3:
-                    del cache[next(iter(cache))]
-                cache[key] = build_pm(t_d, t_g2)
-            pm = cache[key]
+            t_d, t_g2, off = params if free_gap2 else (params[0], fix_gap2_nm, params[1])
+            pm = base.with_membrane(t_d, t_g2)
             return np.array([_solve_or_extrapolate(pm, q, g + off) for g, q in zip(gaps, q_assign)])
 
         if free_gap2:

@@ -2,10 +2,11 @@
 
 Cut open at the fiber-coating surface, the cavity is two reflectors facing
 the air gap t_g: the fiber mirror, and everything beyond the gap (membrane,
-second gap, plane mirror).  Neither depends on t_g, so their TMM responses
-are computed once on a wavelength grid and every gap reuses them
-(van Dam et al., NJP 20, 115004 (2018); Janitz et al., PRA 92, 043844
-(2015)):
+second gap, plane mirror).  Neither depends on t_g.  The two coatings are
+swept with the TMM once per wavelength grid, and the second gap and the
+membrane are composed in front of the plane coating in closed form by two
+Airy steps (van Dam et al., NJP 20, 115004 (2018); Janitz et al., PRA 92,
+043844 (2015)):
 
 * the full-stack transmission, which is what a spectrometer sees, is the
   Airy composition ``t = t1 t2 e^{ik t_g} / (1 - r1 r2 e^{2ik t_g})``;
@@ -34,12 +35,13 @@ slope lambda/t_g of an empty cavity whose whole length is the gap: above
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import constants
-from .stack import CavityAssembly, GeometryError, flatten_assembly, split_at_gap
+from .stack import AIR, CavityAssembly, GeometryError, flatten_assembly, split_at_gap
 from .tmm import _scale_factors, _wave_amplitudes, amplitude_coefficients
 
 
@@ -97,16 +99,36 @@ class SplitResponse:
         return self.power_ratio * np.abs(self.t_fiber * self.t_rest) ** 2 / np.abs(1.0 - round_trip) ** 2
 
 
+def _airy_step(n_out: complex, n: complex, d_nm: float, wl, r, t):
+    """(r, t) of a layer (n, d), entered from medium ``n_out``, in front of a reflector (r, t) seen from n.
+
+    The Fresnel interface n_out|n, the layer phase e^{2 pi i n d / lambda} and
+    the multiple reflections between the interface and the reflector.
+    """
+    r_if = (n_out - n) / (n_out + n)
+    phase = np.exp(2j * np.pi * n * d_nm / wl)
+    r_back = r * phase**2
+    denom = 1.0 + r_if * r_back
+    return (r_if + r_back) / denom, (2.0 * n_out / (n_out + n)) * t * phase / denom
+
+
+def _rest_response(assembly: CavityAssembly, wl, r_plane, t_plane):
+    """(r, t) beyond the fiber-side gap from the plane coating's, seen from air: the second gap, then the membrane."""
+    mem = assembly.membrane
+    r, t = _airy_step(AIR.nc if mem is None else mem.material.nc, AIR.nc, assembly.gap2_nm, wl, r_plane, t_plane)
+    return (r, t) if mem is None else _airy_step(AIR.nc, mem.material.nc, mem.thickness_nm, wl, r, t)
+
+
 def split_response(assembly: CavityAssembly, wavelength_nm) -> SplitResponse:
     """r and t of the fiber coating and of the rest of the stack, seen from the gap."""
     wl = np.asarray(wavelength_nm, dtype=float)
-    fiber, rest, _, _ = split_at_gap(assembly)
+    fiber, plane = assembly.fiber_mirror.as_stack(AIR), assembly.plane_mirror.as_stack(AIR)
     r_fiber, t_gap_side = amplitude_coefficients(fiber, wl)
     # reciprocity: from its substrate the coating transmits n_sub / n_gap
     # times the amplitude it transmits from the gap
     t_fiber = t_gap_side * (fiber.exit.nc / fiber.entry.nc)
-    r_rest, t_rest = amplitude_coefficients(rest, wl)
-    return SplitResponse(wl, r_fiber, t_fiber, r_rest, t_rest, rest.exit.nc.real / fiber.exit.nc.real)
+    r_rest, t_rest = _rest_response(assembly, wl, *amplitude_coefficients(plane, wl))
+    return SplitResponse(wl, r_fiber, t_fiber, r_rest, t_rest, plane.exit.nc.real / fiber.exit.nc.real)
 
 
 def _cell_roots(x0, x1, p0, p1, target, gap_nm):
@@ -137,30 +159,37 @@ class PhaseModel:
     All resonance solving reduces to interpolation on two dense phase
     grids, so repeated solves (dispersion fits, lifetime curves) stay
     cheap.  The gap itself enters analytically and is not part of the
-    cache, so one model serves every gap value.  ``fiber_from``, a model on
-    the same grid of an assembly with the same fiber mirror, lends its
-    fiber-coating reflection ``r_fiber`` (a dispersion fit builds many models
-    that differ only beyond the gap).
+    cache, so one model serves every gap value.  A build sweeps the two
+    coatings with the TMM on the grid and keeps their responses; the membrane
+    and second gap are composed in closed form, so ``with_membrane`` swaps
+    them without a TMM sweep.
     """
 
-    def __init__(self, assembly: CavityAssembly, wl_min_nm: float, wl_max_nm: float, step_nm: float = 0.02,
-                 fiber_from: PhaseModel | None = None):
+    def __init__(self, assembly: CavityAssembly, wl_min_nm: float, wl_max_nm: float, step_nm: float = 0.02):
         lo = min(wl_min_nm, _ANCHOR_NM - 2.0)
         hi = max(wl_max_nm, _ANCHOR_NM + 2.0)
         n = int(np.ceil((hi - lo) / step_nm)) + 1
         self.wl = np.linspace(lo, hi, n)
-        self.assembly = assembly
+        self.r_fiber, _ = amplitude_coefficients(assembly.fiber_mirror.as_stack(AIR), self.wl)
+        self._phi_fiber = self._anchored_unwrap(self.r_fiber)
+        self._plane = amplitude_coefficients(assembly.plane_mirror.as_stack(AIR), self.wl)
+        self._compose(assembly)
 
-        fiber, rest, _, _ = split_at_gap(assembly)
-        if fiber_from is None:
-            self.r_fiber, _ = amplitude_coefficients(fiber, self.wl)
-        else:
-            if fiber_from.assembly.fiber_mirror != assembly.fiber_mirror or not np.array_equal(fiber_from.wl, self.wl):
-                raise ValueError("fiber_from must share the fiber mirror and the wavelength grid")
-            self.r_fiber = fiber_from.r_fiber
-        r_rest, _ = amplitude_coefficients(rest, self.wl)
+    def _compose(self, assembly: CavityAssembly) -> None:
+        self.assembly = assembly
+        r_rest, _ = _rest_response(assembly, self.wl, *self._plane)
         self.mag = np.abs(self.r_fiber) * np.abs(r_rest)
-        self.phi_mirrors = self._anchored_unwrap(self.r_fiber) + self._anchored_unwrap(r_rest)
+        self.phi_mirrors = self._phi_fiber + self._anchored_unwrap(r_rest)
+
+    def with_membrane(self, t_d_nm: float, t_g2_nm: float) -> PhaseModel:
+        """This model with membrane thickness t_d (the implant depth clamped to it) and second gap t_g2; no TMM."""
+        asm = self.assembly
+        if asm.membrane is None:
+            raise ValueError("the assembly has no membrane to set t_d and t_g2 of")
+        model = copy.copy(self)
+        model._compose(replace(asm, membrane=replace(asm.membrane, thickness_nm=t_d_nm), gap2_nm=t_g2_nm,
+                               implant_depth_nm=min(asm.implant_depth_nm, t_d_nm)))
+        return model
 
     def _anchored_unwrap(self, r: np.ndarray) -> np.ndarray:
         phi = np.unwrap(np.angle(r))
@@ -269,9 +298,9 @@ def classify_character(pm: PhaseModel, gap_nm, wl_nm) -> np.ndarray:
     """Air-like / diamond-like / mixed from the dispersion slope d lambda/d t_g; vectorized."""
     wl = np.asarray(wl_nm, dtype=float)
     slope = np.abs(pm.tuning_slope(wl, gap_nm))
-    # reference: slope of an empty cavity whose whole length is the gap
-    slope_ref = wl / gap_nm
-    return np.where(slope >= 0.60 * slope_ref, "air-like", np.where(slope <= 0.25 * slope_ref, "diamond-like", "mixed"))
+    # reference: slope wl / gap of an empty cavity of length gap, multiplied out so gap 0 is valid
+    length = slope * np.asarray(gap_nm, dtype=float)
+    return np.where(length >= 0.60 * wl, "air-like", np.where(length <= 0.25 * wl, "diamond-like", "mixed"))
 
 
 def find_resonances(

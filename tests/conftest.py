@@ -40,3 +40,18 @@ def field_solves(monkeypatch):
     for module in (tmm, resonance):
         monkeypatch.setattr(module, "_wave_amplitudes", lambda *a, **k: calls.append(1) or solve(*a, **k))
     return calls
+
+
+@pytest.fixture()
+def layer_points(monkeypatch):
+    """A list that grows by layers x wavelengths per TMM sweep (tmm.amplitude_coefficients, at both of its bindings)."""
+    calls = []
+    sweep = tmm.amplitude_coefficients
+
+    def counted(stack, wavelength_nm):
+        calls.append(len(stack.layers) * np.asarray(wavelength_nm).size)
+        return sweep(stack, wavelength_nm)
+
+    for module in (tmm, resonance):
+        monkeypatch.setattr(module, "amplitude_coefficients", counted)
+    return calls

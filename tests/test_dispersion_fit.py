@@ -64,24 +64,19 @@ class TestDispersionFit:
         arr = points_from_resonances(pts)
         assert arr.shape == (len(pts), 2)
 
-    def test_models_share_the_fiber_and_the_jacobian_base(self, synthetic_points, monkeypatch):
-        from microcav import resonance
+    def test_one_coating_sweep_per_fit(self, synthetic_points, layer_points):
+        from microcav.dispersion_fit import _WINDOW_MARGIN_NM
+        from microcav.resonance import PhaseModel
 
-        builds = []
-        init = resonance.PhaseModel.__init__
-
-        def spy(pm, assembly, *args, fiber_from=None, **kwargs):
-            builds.append(((assembly.membrane_thickness_nm, assembly.gap2_nm), fiber_from is None))
-            init(pm, assembly, *args, fiber_from=fiber_from, **kwargs)
-
-        monkeypatch.setattr(resonance.PhaseModel, "__init__", spy)
-        fit = fit_dispersion(synthetic_points[0], st.default_assembly())
+        pts = synthetic_points[0]
+        template = st.default_assembly()
+        lo, hi = pts[:, 1].min() - _WINDOW_MARGIN_NM, pts[:, 1].max() + _WINDOW_MARGIN_NM
+        grid = PhaseModel(template, lo, hi, step_nm=0.05).wl.size
+        layer_points.clear()
+        fit = fit_dispersion(pts, template)
         assert "order_retry" not in fit.fit.diagnostics
-        # one build sweeps the fiber coating; every later one borrows it
-        assert [fresh for _, fresh in builds] == [True] + [False] * (len(builds) - 1)
-        # a forward-difference Jacobian comes back to its base point after
-        # one build per parameter: that model must still be cached
-        last = {}
-        for i, (key, _) in enumerate(builds):
-            assert i - last.get(key, -4) >= 4, f"model {key} rebuilt after {i - last[key] - 1} other builds"
-            last[key] = i
+        assert fit.fit.iterations > 10
+        # the fiber and the plane coating, each swept once on the fit's grid;
+        # anchor nodes and trial points run no TMM
+        fiber, plane = len(template.fiber_mirror.layers), len(template.plane_mirror.layers)
+        assert layer_points == [fiber * grid, plane * grid]

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from microcav import metrics, tmm
+from microcav import constants, metrics, tmm
 from microcav import stack as st
 from microcav.resonance import (
     NoResonanceError,
@@ -240,22 +242,6 @@ DEFAULT_GAPS = np.linspace(12_800.0, 14_400.0, 9)  # the dispersion command's de
 DEFAULT_WINDOW = (715.0, 755.0)
 
 
-def _count_layer_points(monkeypatch):
-    """Patch every binding of tmm.amplitude_coefficients to tally layers x wavelengths."""
-    from microcav import resonance
-
-    tally = [0]
-    original = tmm.amplitude_coefficients
-
-    def counted(stack, wavelength_nm):
-        tally[0] += len(stack.layers) * np.asarray(wavelength_nm).size
-        return original(stack, wavelength_nm)
-
-    monkeypatch.setattr(tmm, "amplitude_coefficients", counted)
-    monkeypatch.setattr(resonance, "amplitude_coefficients", counted)
-    return tally
-
-
 def _oracle_cases(membrane_assembly, leaky_hard_assembly):
     return [
         (membrane_assembly, DEFAULT_GAPS, DEFAULT_WINDOW, {}),
@@ -343,33 +329,43 @@ class TestPhaseRoots:
         with pytest.raises(st.GeometryError, match="gaps must be >= 0"):
             dispersion_map(membrane_assembly, (-500.0, 13_000.0), 5, DEFAULT_WINDOW, 10)
 
-    def test_fiber_from_reuses_the_fiber_half(self, membrane_assembly, monkeypatch):
-        lender = PhaseModel(membrane_assembly, 715.0, 755.0, step_nm=0.05)
-        other = st.default_assembly(gap2_nm=100.0)
-        tally = _count_layer_points(monkeypatch)
-        borrowed = PhaseModel(other, 715.0, 755.0, step_nm=0.05, fiber_from=lender)
-        _, rest, _, _ = st.split_at_gap(other)
-        assert tally[0] == len(rest.layers) * borrowed.wl.size  # only the rest of the stack is swept
-        fresh = PhaseModel(other, 715.0, 755.0, step_nm=0.05)
-        assert np.array_equal(borrowed.phi_mirrors, fresh.phi_mirrors)
-        assert np.array_equal(borrowed.mag, fresh.mag)
-        with pytest.raises(ValueError, match="wavelength grid"):
-            PhaseModel(other, 715.0, 756.0, step_nm=0.05, fiber_from=lender)
+    def test_zero_gap_is_classified_without_warnings(self):
+        # gaps >= 0 are valid input; gap 0 must not divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = find_resonances(st.default_assembly(), [0.0, 13_000.0], (720.0, 750.0))
+        assert [(p.gap_nm, p.q_gap, p.character) for p in points] == [
+            (0.0, 0, "diamond-like"), (13_000.0, 36, "air-like"), (13_000.0, 35, "air-like")]
+
+    def test_with_membrane_equals_a_fresh_build(self, membrane_assembly, empty_assembly, layer_points):
+        pm = PhaseModel(membrane_assembly, 715.0, 755.0, step_nm=0.05)
+        layer_points.clear()
+        for t_d, t_g2, depth in ((1400.0, 100.0, 75.0), (1420.0, 0.0, 75.0), (50.0, 300.0, 50.0)):
+            moved = pm.with_membrane(t_d, t_g2)
+            assert layer_points == []  # recomposed in closed form
+            expected = st.default_assembly(gap2_nm=t_g2, implant_depth_nm=depth,
+                                           membrane={"thickness_nm": t_d, "n": constants.N_DIAMOND, "sigma_rms_nm": 3.6})
+            assert moved.assembly == expected
+            fresh = PhaseModel(expected, 715.0, 755.0, step_nm=0.05)
+            assert np.array_equal(moved.wl, fresh.wl)
+            assert np.array_equal(moved.phi_mirrors, fresh.phi_mirrors)
+            assert np.array_equal(moved.mag, fresh.mag)
+            layer_points.clear()
+        with pytest.raises(ValueError, match="no membrane"):
+            PhaseModel(empty_assembly, 715.0, 755.0).with_membrane(1400.0, 100.0)
 
 
 class TestWorkCount:
     """Work bounds in TMM layer-points (layers x wavelengths), free of timing."""
 
-    def test_find_resonances_default_gaps(self, membrane_assembly, monkeypatch):
-        tally = _count_layer_points(monkeypatch)
+    def test_find_resonances_default_gaps(self, membrane_assembly, layer_points):
         assert len(find_resonances(membrane_assembly, DEFAULT_GAPS, DEFAULT_WINDOW)) == 22
-        assert 0 < tally[0] < 500_000
+        assert 0 < sum(layer_points) < 500_000
 
-    def test_dispersion_map_cli_defaults(self, membrane_assembly, monkeypatch):
-        tally = _count_layer_points(monkeypatch)
+    def test_dispersion_map_cli_defaults(self, membrane_assembly, layer_points):
         dmap = dispersion_map(membrane_assembly, (12_800.0, 14_400.0), 60, DEFAULT_WINDOW, 600)
         assert dmap.t.shape == (60, 600)
-        assert 0 < tally[0] < 100_000
+        assert 0 < sum(layer_points) < 100_000
 
 
 def _mirror(draw, hst):
@@ -401,8 +397,12 @@ class TestAiryComposition:
         @hypothesis.given(assemblies(), hst.lists(hst.floats(500.0, 1000.0), min_size=1, max_size=8))
         def check(asm, wls):
             wl = np.asarray(wls)
-            airy = split_response(asm, wl).transmission(asm.gap_nm)
+            split = split_response(asm, wl)
             planar = tmm.transmission(st.flatten_assembly(asm), wl)
-            np.testing.assert_allclose(airy, planar, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(split.transmission(asm.gap_nm), planar, rtol=1e-9, atol=0.0)
+            # the closed-form membrane and second gap against the TMM of the same rest of the stack
+            r_rest, t_rest = tmm.amplitude_coefficients(st.split_at_gap(asm)[1], wl)
+            np.testing.assert_allclose(split.r_rest, r_rest, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(split.t_rest, t_rest, rtol=1e-12, atol=0.0)
 
         check()
