@@ -5,10 +5,14 @@ The gap axis of a length scan is a positioner readout, not an absolute
 distance, so the fit carries a constant gap offset as a nuisance
 parameter alongside the membrane thickness t_d and the second gap t_g2.
 
-Each point is assigned a mode order q from the round-trip phase at the
-initial parameters; the model wavelength for that order then comes from
-the exact phase condition, and the parameters are adjusted by damped
-least squares.  A fit this nonlinear can land in the wrong global order
+An anchor scan scores a coarse grid of (t_d, t_g2, offset) nodes by the
+wrapped phase miss of all points at once and starts from the best; each
+point is assigned a mode order q from the round-trip phase there.  Every
+residual evaluation then solves the phase condition for all points in one
+call (``PhaseModel.solve_wavelengths``), and the parameters are adjusted by
+damped least squares.  A point whose resonance a trial pushes off the phase
+grid continues the phase linearly along the grid's edge cell, so the
+residual stays smooth.  A fit this nonlinear can land in the wrong global order
 branch, so when the reduced residual stays far above the data noise the
 fit is retried with all mode orders shifted by +-1 and the best result
 wins.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import FitError, FitResult, lm_fit
-from .resonance import NoResonanceError, PhaseModel, ResonancePoint
+from .resonance import PhaseModel, ResonancePoint
 from .stack import CavityAssembly
 
 # the phase model covers the measured wavelengths plus this margin on each side
@@ -56,28 +60,6 @@ class DispersionFit:
 def points_from_resonances(points: list[ResonancePoint]) -> np.ndarray:
     """(gap, wavelength) array from ResonancePoint records."""
     return np.array([[p.gap_nm, p.wavelength_nm] for p in points])
-
-
-def _solve_or_extrapolate(pm: PhaseModel, q: int, gap_nm: float) -> float:
-    """Model wavelength for mode q; linear phase extrapolation off-grid.
-
-    Keeps the residual smooth when trial parameters push a resonance past
-    the cached window instead of crashing the optimizer.
-    """
-    try:
-        return pm.solve_wavelength(q, gap_nm)
-    except NoResonanceError:
-        target = 2.0 * np.pi * (q + 1.0)
-        edges = np.array([pm.wl[0], pm.wl[-1]])
-        miss = 4.0 * np.pi * gap_nm / edges + pm.mirror_phase(edges) - target
-        i = int(np.argmin(np.abs(miss)))
-        # local slope of the phase miss, from the neighboring grid point
-        j = 1 if i == 0 else len(pm.wl) - 2
-        miss_j = 4.0 * np.pi * gap_nm / pm.wl[j] + pm.phi_mirrors[j] - target
-        slope = (miss_j - miss[i]) / (pm.wl[j] - edges[i])
-        if slope == 0.0:
-            return float(edges[i])
-        return float(edges[i] - miss[i] / slope)
 
 
 def fit_dispersion(
@@ -130,26 +112,23 @@ def fit_dispersion(
     # enough to assign orders consistently and to start the fit.
     lam_mid = float(np.mean(wls))
     t_d0, t_g20, off0 = init["t_d_nm"], init["t_g2_nm"], init["gap_offset_nm"]
-    t_d_grid = [t_d0 - 20.0, t_d0, t_d0 + 20.0]
+    # the t_d nodes stay inside the fit's 1 nm lower bound
+    t_d_grid = sorted({max(t_d0 + step, 1.0) for step in (-20.0, 0.0, 20.0)})
     if fix_gap2_nm is None:
         t_g2_grid = sorted({max(t_g20, 0.0), 0.0, 100.0, 200.0, 300.0, 400.0})
     else:
         t_g2_grid = [fix_gap2_nm]
+    nodes = [(t_d, t_g2) for t_d in t_d_grid for t_g2 in t_g2_grid]
     offsets = off0 + np.linspace(-lam_mid / 4.0, lam_mid / 4.0, 41)
-    best_node = None
-    for t_d in t_d_grid:
-        for t_g2 in t_g2_grid:
-            pm = base.with_membrane(t_d, t_g2)
-            phi0 = 4.0 * np.pi * gaps / wls + pm.mirror_phase(wls)
-            for off in offsets:
-                miss = (phi0 + 4.0 * np.pi * off / wls) / (2.0 * np.pi)
-                score = float(np.mean((miss - np.round(miss)) ** 2))
-                if best_node is None or score < best_node[0]:
-                    best_node = (score, t_d, t_g2, off, pm)
-    _, t_d0, t_g20, off0, pm0 = best_node
+    phi0 = np.array([4.0 * np.pi * gaps / wls + base.with_membrane(*node).mirror_phase(wls) for node in nodes])
+    # (nodes, offsets, points); argmin takes the first minimum in node-major order
+    miss = (phi0[:, None, :] + 4.0 * np.pi * offsets[:, None] / wls) / (2.0 * np.pi)
+    score = np.mean((miss - np.round(miss)) ** 2, axis=-1)
+    node, k = np.unravel_index(np.argmin(score), score.shape)
+    (t_d0, t_g20), off0 = nodes[node], offsets[k]
     init = {"t_d_nm": t_d0, "t_g2_nm": t_g20, "gap_offset_nm": off0}
 
-    q0 = np.array([pm0.mode_order(w, g + off0) for g, w in zip(gaps, wls)], dtype=int)
+    q0 = base.with_membrane(t_d0, t_g20).mode_order(wls, gaps + off0)
     if np.unique(q0).size < 2:
         raise FitError("degenerate dispersion data: all points share one mode order")
 
@@ -158,8 +137,7 @@ def fit_dispersion(
     def run(q_assign: np.ndarray) -> DispersionFit:
         def model(x, *params):
             t_d, t_g2, off = params if free_gap2 else (params[0], fix_gap2_nm, params[1])
-            pm = base.with_membrane(t_d, t_g2)
-            return np.array([_solve_or_extrapolate(pm, q, g + off) for g, q in zip(gaps, q_assign)])
+            return base.with_membrane(t_d, t_g2).solve_wavelengths(q_assign, gaps + off)[0]
 
         if free_gap2:
             p0 = [init["t_d_nm"], init["t_g2_nm"], init["gap_offset_nm"]]

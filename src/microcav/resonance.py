@@ -207,8 +207,9 @@ class PhaseModel:
     def round_trip_phase(self, wl_nm, gap_nm: float):
         return 4.0 * np.pi * gap_nm / np.asarray(wl_nm, dtype=float) + self.mirror_phase(wl_nm)
 
-    def mode_order(self, wl_nm: float, gap_nm: float) -> int:
-        return int(np.round(self.round_trip_phase(wl_nm, gap_nm) / (2.0 * np.pi) - 1.0))
+    def mode_order(self, wl_nm, gap_nm):
+        """Mode order q = round(Phi / 2pi) - 1 through (wl, gap); vectorized."""
+        return np.round(self.round_trip_phase(wl_nm, gap_nm) / (2.0 * np.pi) - 1.0).astype(int)
 
     def group_length_nm(self, wl_nm):
         """Optical length of everything except the gap, (dphi/dk) / 2."""
@@ -238,26 +239,40 @@ class PhaseModel:
 
     # -- solving --------------------------------------------------------------
 
-    def solve_wavelength(self, q: int, gap_nm: float, window: tuple[float, float] | None = None) -> float:
-        """Resonance wavelength of mode order q at a given gap.
+    def solve_wavelengths(self, q, gap_nm, window: tuple[float, float] | None = None):
+        """(wavelengths, bracketed) of mode orders q at gaps ``gap_nm``, broadcast together.
 
-        The root lies in the first grid cell where the phase miss changes
-        sign (see ``_cell_roots``).  Raises NoResonanceError if the mode
-        misses the window.
+        Per row the root lies in the first grid cell of the window where the
+        phase miss changes sign (``_cell_roots``).  A row with no sign change
+        is not ``bracketed``: it takes the window's edge cell nearer in |miss|
+        and continues the phase linearly along that cell, so its root moves
+        smoothly off the window as trial parameters push it out.
         """
-        lo = self.wl[0] if window is None else max(window[0], self.wl[0])
-        hi = self.wl[-1] if window is None else min(window[1], self.wl[-1])
-        sel = (self.wl >= lo) & (self.wl <= hi)
-        wl, phi = self.wl[sel], self.phi_mirrors[sel]
+        in_window = slice(None) if window is None else slice(np.searchsorted(self.wl, window[0], side="left"),
+                                                             np.searchsorted(self.wl, window[1], side="right"))
+        wl, phi = self.wl[in_window], self.phi_mirrors[in_window]
         if wl.size < 2:
             raise NoResonanceError("window outside the cached phase grid")
+        q, gap = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(gap_nm, dtype=float))
         target = 2.0 * np.pi * (q + 1.0)
-        miss = 4.0 * np.pi * gap_nm / wl + phi - target
-        sign_change = np.nonzero(np.diff(np.signbit(miss)))[0]
-        if sign_change.size == 0:
+        miss = 4.0 * np.pi * gap[..., None] / wl + phi - target[..., None]
+        change = np.diff(np.signbit(miss), axis=-1)
+        bracketed = change.any(axis=-1)
+        edge = np.where(np.abs(miss[..., -1]) < np.abs(miss[..., 0]), wl.size - 2, 0)
+        i = np.where(bracketed, change.argmax(axis=-1), edge)
+        return _cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], target, gap), bracketed
+
+    def solve_wavelength(self, q: int, gap_nm: float, window: tuple[float, float] | None = None) -> float:
+        """Resonance wavelength of mode order q at a given gap (``solve_wavelengths``).
+
+        Raises NoResonanceError if the mode misses the window.
+        """
+        root, bracketed = self.solve_wavelengths(q, gap_nm, window)
+        if not bracketed:
+            lo = self.wl[0] if window is None else max(window[0], self.wl[0])
+            hi = self.wl[-1] if window is None else min(window[1], self.wl[-1])
             raise NoResonanceError(f"mode q={q} has no resonance in [{lo:.2f}, {hi:.2f}] nm at gap {gap_nm:.1f} nm")
-        i = int(sign_change[0])
-        return float(_cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], target, gap_nm))
+        return float(root)
 
     def solve_gap(self, q: int, wl_nm: float) -> float:
         """Gap putting mode order q on resonance at a given wavelength."""

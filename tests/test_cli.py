@@ -89,6 +89,18 @@ class TestDispersionCommand:
         res = json.loads((tmp_path / "resonances.json").read_text())["resonances"]
         assert res and {"gap_nm", "wavelength_nm", "q_gap", "character"} <= set(res[0])
 
+    def test_thin_membrane_writes_fit(self, tmp_path):
+        cfg = st.default_assembly_config()
+        cfg["membrane"]["thickness_nm"] = 15.0
+        cfg["implant_depth_nm"] = 5.0
+        (tmp_path / "thin.json").write_text(json.dumps(cfg))
+        code = run(tmp_path, "dispersion", "--assembly", str(tmp_path / "thin.json"),
+                   "--map-gap-steps", "4", "--wl-steps", "60", "--no-second-gap")
+        assert code == 0
+        fits = json.loads((tmp_path / "fit.json").read_text())["fits"]
+        assert fits["free"]["params"]["t_d_nm"]["value"] >= 1.0
+        assert fits["gap2_frozen_at_0"]["params"]["t_d_nm"]["value"] >= 1.0
+
 
 class TestPurcellCommand:
     def test_beta_utility(self, capsys, tmp_path):

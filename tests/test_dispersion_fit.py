@@ -80,3 +80,47 @@ class TestDispersionFit:
         # anchor nodes and trial points run no TMM
         fiber, plane = len(template.fiber_mirror.layers), len(template.plane_mirror.layers)
         assert layer_points == [fiber * grid, plane * grid]
+
+    def test_thin_membrane_fits(self):
+        # a template under 21 nm put the anchor scan's t_d - 20 nm node at or below 0
+        thin = st.default_assembly(membrane={**st.default_assembly_config()["membrane"], "thickness_nm": 15.0},
+                                   implant_depth_nm=5.0)
+        pts = points_from_resonances(find_resonances(thin, np.linspace(12_800.0, 14_400.0, 9), (715.0, 755.0)))
+        for initial in (None, {"t_d_nm": 12.0}):
+            fit = fit_dispersion(pts, thin, initial=initial)
+            assert fit.t_d_nm == pytest.approx(15.0, abs=1e-3)
+            assert fit.t_g2_nm == pytest.approx(250.0, abs=1e-2)
+            assert np.max(np.abs(fit.residuals_nm)) < 1e-6
+
+    def test_one_vectorized_solve_per_residual(self, synthetic_points, monkeypatch):
+        from microcav import dispersion_fit
+        from microcav.resonance import PhaseModel
+
+        calls = {"solve_wavelength": 0, "solve_wavelengths": 0, "model": 0, "lm_fit": 0}
+
+        def counted(name):
+            method = getattr(PhaseModel, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("solve_wavelength", "solve_wavelengths"):
+            monkeypatch.setattr(PhaseModel, name, counted(name))
+        lm_fit = dispersion_fit.lm_fit
+
+        def counted_fit(model, *args, **kwargs):
+            calls["lm_fit"] += 1
+
+            def counted_model(*params):
+                calls["model"] += 1
+                return model(*params)
+            return lm_fit(counted_model, *args, **kwargs)
+
+        monkeypatch.setattr(dispersion_fit, "lm_fit", counted_fit)
+        fit = fit_dispersion(synthetic_points[0], st.default_assembly())
+        assert calls["solve_wavelength"] == 0
+        assert calls["lm_fit"] == 1 and calls["model"] >= fit.fit.iterations
+        # one all-points solve per residual evaluation, plus the final residual
+        assert calls["solve_wavelengths"] == calls["model"] + 1

@@ -180,17 +180,25 @@ class TestRetuning:
         assert 0.0 <= w <= 1.0
 
 
+def _first_bracket(pm, q, gap_nm, window=None):
+    """Per-point search: the window's grid, its phases, the target and the first sign-change cell.
+
+    Raises IndexError when the phase miss keeps one sign over the window.
+    """
+    lo = pm.wl[0] if window is None else max(window[0], pm.wl[0])
+    hi = pm.wl[-1] if window is None else min(window[1], pm.wl[-1])
+    sel = (pm.wl >= lo) & (pm.wl <= hi)
+    wl, phi = pm.wl[sel], pm.phi_mirrors[sel]
+    target = 2.0 * np.pi * (q + 1.0)
+    miss = 4.0 * np.pi * gap_nm / wl + phi - target
+    return wl, phi, target, int(np.nonzero(np.diff(np.signbit(miss)))[0][0])
+
+
 def _brentq_on_interpolant(pm, q, gap_nm, window=None):
     """Reference root: brentq on the same grid bracket and linear interpolant."""
     from scipy.optimize import brentq
 
-    lo = pm.wl[0] if window is None else max(window[0], pm.wl[0])
-    hi = pm.wl[-1] if window is None else min(window[1], pm.wl[-1])
-    sel = (pm.wl >= lo) & (pm.wl <= hi)
-    wl = pm.wl[sel]
-    target = 2.0 * np.pi * (q + 1.0)
-    miss = 4.0 * np.pi * gap_nm / wl + pm.phi_mirrors[sel] - target
-    i = int(np.nonzero(np.diff(np.signbit(miss)))[0][0])
+    wl, _, target, i = _first_bracket(pm, q, gap_nm, window)
     return brentq(lambda x: 4.0 * np.pi * gap_nm / x + np.interp(x, pm.wl, pm.phi_mirrors) - target,
                   wl[i], wl[i + 1], xtol=1e-12)
 
@@ -223,6 +231,58 @@ class TestCellRoot:
             pm.solve_wavelength(q0, 10_000.0, window=(900.0, 950.0))
         with pytest.raises(NoResonanceError, match="no resonance"):
             pm.solve_wavelength(q0, 10_000.0, window=(700.0, 701.0))
+
+
+def _scalar_cell_root(pm, q, gap_nm, window=None):
+    """The per-point solve: one ``_cell_roots`` call on the first bracket, None without one."""
+    from microcav.resonance import _cell_roots
+
+    try:
+        wl, phi, target, i = _first_bracket(pm, q, gap_nm, window)
+    except IndexError:
+        return None
+    return float(_cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], target, gap_nm))
+
+
+class TestVectorSolve:
+    def test_rows_equal_per_point_solves(self, membrane_assembly, empty_assembly):
+        bracketed_rows = 0
+        for asm in (membrane_assembly, empty_assembly):
+            pm = PhaseModel(asm, 700.0, 790.0)
+            gaps = np.repeat(np.linspace(3_000.0, 20_000.0, 23), 5)
+            q = pm.mode_order(737.0, gaps) + np.tile([-20, -1, 0, 1, 20], 23)
+            for window in (None, (725.0, 760.0)):
+                roots, bracketed = pm.solve_wavelengths(q, gaps, window)
+                for qi, g, root, ok in zip(q, gaps, roots, bracketed):
+                    ref = _scalar_cell_root(pm, qi, g, window)
+                    assert ok == (ref is not None)
+                    if ok:
+                        assert root == ref and pm.solve_wavelength(qi, g, window) == ref
+                        bracketed_rows += 1
+                    else:
+                        with pytest.raises(NoResonanceError, match="no resonance"):
+                            pm.solve_wavelength(qi, g, window)
+        assert 200 <= bracketed_rows < 2 * 2 * 23 * 5
+
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_root_continues_smoothly_off_the_grid(self, membrane_assembly, edge):
+        pm = PhaseModel(membrane_assembly, 730.0, 745.0)
+        x_edge = pm.wl[edge]
+        q = pm.mode_order(x_edge, 13_000.0)
+        gaps = pm.solve_gap(q, x_edge) + np.linspace(-30.0, 30.0, 601)
+        roots, bracketed = pm.solve_wavelengths(q, gaps)
+        # the resonance crosses the grid edge once, and its root moves on with no jump
+        assert np.count_nonzero(np.diff(bracketed)) == 1 and 250 <= np.count_nonzero(bracketed) <= 350
+        step = np.diff(roots)
+        assert np.all(step > 0.0)
+        assert np.max(np.abs(np.diff(step))) < 1e-3 * np.median(step)
+        # off the grid, the root satisfies the phase continued linearly along the edge cell
+        i = 0 if edge == 0 else pm.wl.size - 2
+        slope = (pm.phi_mirrors[i + 1] - pm.phi_mirrors[i]) / (pm.wl[i + 1] - pm.wl[i])
+        x, g = roots[~bracketed], gaps[~bracketed]
+        assert np.all((x <= pm.wl[0]) | (x >= pm.wl[-1]))
+        miss = 4.0 * np.pi * g / x + pm.phi_mirrors[i] + slope * (x - pm.wl[i]) - 2.0 * np.pi * (q + 1.0)
+        assert np.max(np.abs(miss)) < 1e-9
 
 
 class TestPhaseModelReuse:
