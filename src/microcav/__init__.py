@@ -3,7 +3,7 @@
 Subpackage map:
 
 * :mod:`microcav.stack` - materials, layers, mirrors, cavity assembly
-* :mod:`microcav.tmm` - transfer-matrix solver and field profiles
+* :mod:`microcav.tmm` - transfer-matrix solver and per-layer fields
 * :mod:`microcav.resonance` - resonances, dispersion maps, effective length
 * :mod:`microcav.dispersion_fit` - membrane thickness / parasitic-gap fit
 * :mod:`microcav.metrics` - mode geometry, loss budgets, finesse, Q
@@ -19,8 +19,8 @@ from .fitting import DegenerateFitWarning, FitError, FitResult, lm_fit
 from .metrics import LossBudget, ModeGeometry, finesse_from_losses, mode_volume, mode_waist, quality_factor, roughness_loss
 from .purcell import EmitterParams, beta_collection, effective_q, lifetime_ratio, purcell_factor, xi_overlap
 from .resonance import ResonancePoint, StandingWave, dispersion_map, effective_length, find_resonances
-from .stack import AIR, DIAMOND, SILICA, CavityAssembly, Layer, LayerStack, Material, Mirror, build_mirror, build_quarter_wave_stack, default_assembly, flatten_assembly, hard_mirror, load_assembly
-from .tmm import FieldProfile, StackResponse, field_profile, stack_response
+from .stack import AIR, DIAMOND, SILICA, CavityAssembly, Layer, LayerStack, Material, Mirror, build_mirror, build_quarter_wave_stack, default_assembly, hard_mirror, load_assembly
+from .tmm import StackResponse, stack_response
 
 __all__ = [
     "__version__",
@@ -30,7 +30,6 @@ __all__ = [
     "CavityAssembly",
     "DegenerateFitWarning",
     "EmitterParams",
-    "FieldProfile",
     "FitError",
     "FitResult",
     "Layer",
@@ -49,10 +48,8 @@ __all__ = [
     "dispersion_map",
     "effective_length",
     "effective_q",
-    "field_profile",
     "find_resonances",
     "finesse_from_losses",
-    "flatten_assembly",
     "hard_mirror",
     "lifetime_ratio",
     "lm_fit",

@@ -3,8 +3,8 @@
 The enhancement chain for an emitter ensemble in the membrane:
 
 * xi, the spatial/directional overlap of the dipole with the standing
-  wave at the implantation depth, read from the same per-layer field
-  solution as L_eff;
+  wave at the assembly's implantation depth, read from the same per-layer
+  field solution as L_eff, one ``StandingWave`` for every gap of a sweep;
 * Q_eff, the harmonic combination of the ensemble and cavity quality
   factors;
 * F_p = xi^2 * 3 (lambda/n)^3 Q_eff / (4 pi^2 V_m);
@@ -25,7 +25,7 @@ import numpy as np
 from . import constants, metrics
 from .fitting import FitResult, lm_fit
 # effective_length stays bound here, where the benchmark's tracer and its self-test wrap it
-from .resonance import NoResonanceError, PhaseModel, StandingWave, effective_length, resonant_wave  # noqa: F401
+from .resonance import NoResonanceError, PhaseModel, StandingWave, effective_length  # noqa: F401
 from .stack import CavityAssembly
 
 
@@ -38,7 +38,6 @@ class EmitterParams:
     debye_waller: float = constants.DEBYE_WALLER_DEFAULT
     emitter_quality: float | None = None
     ensemble_linewidth_ghz: float = constants.SIV_ENSEMBLE_LINEWIDTH_GHZ
-    implant_depth_nm: float = 75.0
     dipole_angle_rad: float = 0.0
 
     def __post_init__(self):
@@ -59,18 +58,14 @@ def emitter_from_config(cfg: dict) -> EmitterParams:
     """EmitterParams from a parsed JSON config document.
 
     Keys (all optional): zpl_wavelength_nm, host_index, debye_waller,
-    emitter_quality, ensemble_linewidth_ghz, implant_depth_nm,
-    dipole_angle_rad.
+    emitter_quality, ensemble_linewidth_ghz, dipole_angle_rad.  The implant
+    depth belongs to the assembly, whose ``implant_depth_nm`` the emitter
+    config may not repeat.
     """
-    allowed = {
-        "zpl_wavelength_nm",
-        "host_index",
-        "debye_waller",
-        "emitter_quality",
-        "ensemble_linewidth_ghz",
-        "implant_depth_nm",
-        "dipole_angle_rad",
-    }
+    if "implant_depth_nm" in cfg:
+        raise ValueError("emitter config: implant_depth_nm is set in the assembly config (its 'implant_depth_nm' key)")
+    allowed = {"zpl_wavelength_nm", "host_index", "debye_waller", "emitter_quality", "ensemble_linewidth_ghz",
+               "dipole_angle_rad"}
     unknown = set(cfg) - allowed
     if unknown:
         raise ValueError(f"emitter config: unknown keys {sorted(unknown)}")
@@ -82,8 +77,8 @@ def load_emitter(path: str | Path) -> EmitterParams:
         return emitter_from_config(json.load(fh))
 
 
-def xi_overlap(wave: StandingWave, implant_depth_nm: float, dipole_angle_rad: float = 0.0) -> float:
-    """Field overlap |E(z_em)| / max |E| in the membrane, times |cos(angle)|.
+def xi_overlap(wave: StandingWave, implant_depth_nm: float, dipole_angle_rad: float = 0.0) -> np.ndarray:
+    """Field overlap |E(z_em)| / max |E| in the membrane, times |cos(angle)|, per gap of ``wave``.
 
     Exact on the per-layer solution: |a e^{ikz} + b e^{-ikz}|^2 at the
     implant depth over its peak in the membrane layer, which ``wave`` locates
@@ -93,10 +88,10 @@ def xi_overlap(wave: StandingWave, implant_depth_nm: float, dipole_angle_rad: fl
     j = wave.i_membrane
     if j is None:
         raise ValueError("the emitters sit in the membrane, but the assembly has no membrane")
-    thickness = wave.stack.layers[j].thickness_nm
+    thickness = wave.assembly.membrane.thickness_nm
     if not 0.0 <= implant_depth_nm <= thickness:
         raise ValueError(f"implant depth {implant_depth_nm} nm outside the membrane (0..{thickness:.1f} nm)")
-    return float(np.sqrt(wave.intensity(j, implant_depth_nm) / wave.peak_intensity(j)) * abs(np.cos(dipole_angle_rad)))
+    return np.sqrt(wave.intensity(j, implant_depth_nm) / wave.peak_intensity(j)) * abs(np.cos(dipole_angle_rad))
 
 
 def effective_q(q_em: float, q_c: float) -> float:
@@ -162,43 +157,46 @@ class LifetimePoint:
         }
 
 
+def _retuned(pm: PhaseModel, wavelength_nm: float, target_gap_nm: float) -> tuple[float, int, float]:
+    """(gap, q, waist) of the resonance at ``wavelength_nm`` whose gap is nearest ``target_gap_nm``."""
+    gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
+    cav = pm.assembly.with_gap(gap)
+    return gap, q, metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wavelength_nm)
+
+
 def operating_point(pm: PhaseModel, wavelength_nm: float,
                     target_gap_nm: float) -> tuple[float, metrics.ModeGeometry, StandingWave]:
     """Resonant gap nearest ``target_gap_nm``, the mode geometry there and its standing wave.
 
     Retunes the gap of ``pm.assembly`` so that ``wavelength_nm`` is on
-    resonance, solves the field there once, and takes L_eff from that
-    solution, then the waist and V_m.  The wave serves the emitter overlap.
+    resonance, solves the field there, and takes L_eff from it, then the
+    waist and V_m.  The wave serves the emitter overlap.
     """
-    gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
-    cav = pm.assembly.with_gap(gap)
-    wave = resonant_wave(cav, wavelength_nm, pm=pm)
-    l_eff = wave.effective_length_um()
-    w0 = metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wavelength_nm)
+    gap, q, w0 = _retuned(pm, wavelength_nm, target_gap_nm)
+    wave = StandingWave(pm.assembly, wavelength_nm, gap)
+    l_eff = float(wave.effective_length_um()[0])
     v_m = metrics.mode_volume(w0, l_eff)
     return gap, metrics.ModeGeometry(w0, v_m, metrics.mode_volume_lambda3(v_m, wavelength_nm), l_eff, q), wave
 
 
-def _pipeline_point(
-    pm: PhaseModel,
-    emitter: EmitterParams,
-    gap_nm: float,
-    finesse: float,
-    tau0_ns: float,
-    eta_qe: float,
-) -> LifetimePoint:
+def _lifetime_point(emitter: EmitterParams, retuned: tuple[float, int, float], l_eff: float, xi: float,
+                    finesse: float, tau0_ns: float, eta_qe: float) -> LifetimePoint:
     wl = emitter.zpl_wavelength_nm
+    gap, q, w0 = retuned
+    v_m = metrics.mode_volume(w0, l_eff)
+    q_c = metrics.quality_factor(l_eff, wl, finesse)
+    q_eff = effective_q(emitter.q_em, q_c)
+    f_p = purcell_factor(xi, wl, emitter.host_index, q_eff, v_m)
+    tau = tau0_ns / lifetime_ratio(f_p, eta_qe, emitter.debye_waller)
+    return LifetimePoint(gap, q, l_eff, w0, v_m, q_c, q_eff, xi, f_p, tau)
+
+
+def _or_error(fn, *args):
+    """fn(*args), or the error that flags its operating point."""
     try:
-        gap, mode, wave = operating_point(pm, wl, gap_nm)
-        l_eff, v_m = mode.effective_length_um, mode.mode_volume_um3
-        q_c = metrics.quality_factor(l_eff, wl, finesse)
-        q_eff = effective_q(emitter.q_em, q_c)
-        xi = xi_overlap(wave, emitter.implant_depth_nm, emitter.dipole_angle_rad)
-        f_p = purcell_factor(xi, wl, emitter.host_index, q_eff, v_m)
-        tau = tau0_ns / lifetime_ratio(f_p, eta_qe, emitter.debye_waller)
-        return LifetimePoint(gap, mode.mode_order, l_eff, mode.waist_um, v_m, q_c, q_eff, xi, f_p, tau)
+        return fn(*args)
     except (NoResonanceError, metrics.UnstableResonatorError, ValueError) as exc:
-        return LifetimePoint(gap_nm, -1, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, flag=str(exc))
+        return exc
 
 
 def predict_lifetime_curve(
@@ -214,18 +212,26 @@ def predict_lifetime_curve(
     For each requested gap the cavity is retuned to the nearest gap that
     puts the emitter transition on resonance; points that cannot be
     computed (no resonance, unstable geometry) come back flagged instead
-    of being dropped.  The emitters sit in the membrane, so an assembly
-    without one is rejected.
+    of being dropped.  One standing wave serves every retuned gap.  The
+    emitters sit in the membrane, at the assembly's ``implant_depth_nm``, so
+    an assembly without one is rejected.
     """
     if assembly.membrane is None:
         raise ValueError("the emitters sit in the membrane, but the assembly has no membrane (membrane: null)")
     wl = emitter.zpl_wavelength_nm
     pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
     finesse = metrics.finesse_from_losses(metrics.loss_budget(assembly, wl, membrane_loss_ppm))
-    return [
-        _pipeline_point(pm, emitter, float(g), finesse, tau0_ns, eta_qe)
-        for g in np.atleast_1d(np.asarray(gaps_nm, dtype=float))
-    ]
+    targets = np.atleast_1d(np.asarray(gaps_nm, dtype=float)).tolist()
+    retuned = [_or_error(_retuned, pm, wl, g) for g in targets]
+    wave = StandingWave(assembly, wl, [r[0] for r in retuned if not isinstance(r, Exception)])
+    fields = zip(wave.effective_length_um().tolist(),
+                 xi_overlap(wave, assembly.implant_depth_nm, emitter.dipole_angle_rad).tolist())
+    points = []
+    for g, r in zip(targets, retuned):
+        if not isinstance(r, Exception):
+            r = _or_error(_lifetime_point, emitter, r, *next(fields), finesse, tau0_ns, eta_qe)
+        points.append(r if isinstance(r, LifetimePoint) else LifetimePoint(g, -1, *[np.nan] * 8, flag=str(r)))
+    return points
 
 
 class LifetimeModel:

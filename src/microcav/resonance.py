@@ -20,7 +20,12 @@ Airy steps (van Dam et al., NJP 20, 115004 (2018); Janitz et al., PRA 92,
 * ``find_resonances`` solves that condition for every order in the window
   and every gap at once, then moves each root to the transmission maximum
   next to it (a three-point parabola on log T), so a resonance is a
-  transmission maximum labelled by its root's order.
+  transmission maximum labelled by its root's order;
+* ``StandingWave`` builds the field at every gap of a sweep from three
+  per-layer solves of the same two halves (the fiber coating driven from
+  either side, the rest driven from the gap), joined through the gap's
+  forward and backward amplitudes; L_eff, the emitter overlap and the
+  membrane-interface weight are read from it.
 
 The mode order convention q = round(phase / 2pi) - 1 counts out the two
 ~pi mirror reflection phases; for an ideal empty cavity it reproduces
@@ -41,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import constants
-from .stack import AIR, CavityAssembly, GeometryError, flatten_assembly, split_at_gap
+from .stack import AIR, CavityAssembly, GeometryError, Layer, split_at_gap
 from .tmm import _scale_factors, _wave_amplitudes, amplitude_coefficients
 
 
@@ -416,144 +421,155 @@ def dispersion_map(
 
 
 # ---------------------------------------------------------------------------
-# the standing wave at an operating point, and what is read from it
+# the standing wave at the operating points of a sweep, and what is read from it
 # ---------------------------------------------------------------------------
 
 # L_eff is defined within this many cavity linewidths of a resonance
 _RESONANCE_TOLERANCE_LINEWIDTHS = 0.5
+# an amplitude below this is zero for a layer's energy and peak
+_TINY = 1e-140
 
 
-def _expm1_over(c: float, d: float) -> float:
-    """(exp(c d) - 1)/c with the c -> 0 limit."""
+def _expm1_over(c, d):
+    """(exp(c d) - 1)/c with the c -> 0 limit; vectorized."""
     x = c * d
-    if abs(x) < 1e-12:
-        return d * (1.0 + 0.5 * x)
-    return float(np.expm1(x) / c)
+    small = np.abs(x) < 1e-12
+    with np.errstate(over="ignore"):
+        return np.where(small, d * (1.0 + 0.5 * x), np.expm1(x) / np.where(small, 1.0, c))
 
 
-def _layer_energy(a: complex, b: complex, k: complex, d: float) -> float:
-    """Integral of |a e^{ikz} + b e^{-ikz}|^2 over a layer of thickness d."""
-    tiny = 1e-140
-    kp, kpp = k.real, k.imag
-    total = 0.0
-    if abs(a) > tiny:
-        total += abs(a) ** 2 * _expm1_over(-2.0 * kpp, d)
-    if abs(b) > tiny:
-        total += abs(b) ** 2 * _expm1_over(2.0 * kpp, d)
-    if abs(a) > tiny and abs(b) > tiny:
-        if abs(kp) < 1e-12:
-            cross = a * np.conj(b) * d
-        else:
-            cross = a * np.conj(b) * (np.exp(2j * kp * d) - 1.0) / (2j * kp)
-        total += 2.0 * cross.real
-    return total
+def _layer_energy(a, b, k, d):
+    """Integral of |a e^{ikz} + b e^{-ikz}|^2 over z in [0, d]; vectorized."""
+    has_a, has_b = np.abs(a) > _TINY, np.abs(b) > _TINY
+    with np.errstate(invalid="ignore"):  # a dropped term may be 0 * inf
+        total = (np.where(has_a, np.abs(a) ** 2 * _expm1_over(-2.0 * k.imag, d), 0.0)
+                 + np.where(has_b, np.abs(b) ** 2 * _expm1_over(2.0 * k.imag, d), 0.0))
+    cross = a * np.conj(b) * (np.exp(2j * k.real * d) - 1.0) / (2j * k.real)
+    return total + np.where(has_a & has_b, 2.0 * cross.real, 0.0)
 
 
-def _layer_peak_intensity(a: complex, b: complex, k: complex, d: float) -> float:
-    """Max of |a e^{ikz} + b e^{-ikz}|^2 over z in [0, d] (lossless k)."""
+def _peak_intensity(a, b, k: complex, d):
+    """Max of |a e^{ikz} + b e^{-ikz}|^2 over z in [0, d]; vectorized over a, b and d.
+
+    Exact in a lossless layer; a lossy one is sampled at 2001 depths.
+    """
     if abs(k.imag) > 1e-12:
-        z = np.linspace(0.0, d, 2001)
-        e = a * np.exp(1j * k * z) + b * np.exp(-1j * k * z)
-        return float(np.max(np.abs(e) ** 2))
-    base = abs(a) ** 2 + abs(b) ** 2
-    if abs(a) < 1e-140 or abs(b) < 1e-140:
-        return base
-    phi = np.angle(a * np.conj(b))
-    kp = k.real
-    # antinode where cos(2 k z + phi) = 1
-    z_star = (-phi) / (2.0 * kp)
-    period = np.pi / kp
+        z = np.linspace(0.0, np.broadcast_to(d, np.shape(a)), 2001)
+        return np.max(np.abs(a * np.exp(1j * k * z) + b * np.exp(-1j * k * z)) ** 2, axis=0)
+    # the antinode, where cos(2 k z + arg(a b*)) = 1, folded into the first period
+    period = np.pi / k.real
+    z_star = -np.angle(a * np.conj(b)) / (2.0 * k.real)
     z_star -= np.floor(z_star / period) * period
-    if 0.0 <= z_star <= d:
-        return (abs(a) + abs(b)) ** 2
-    ends = [abs(a * np.exp(1j * kp * z) + b * np.exp(-1j * kp * z)) ** 2 for z in (0.0, d)]
-    return float(max(ends))
+    ends = np.maximum(np.abs(a + b) ** 2, np.abs(a * np.exp(1j * k.real * d) + b * np.exp(-1j * k.real * d)) ** 2)
+    peak = np.where((0.0 <= z_star) & (z_star <= d), (np.abs(a) + np.abs(b)) ** 2, ends)
+    return np.where((np.abs(a) < _TINY) | (np.abs(b) < _TINY), np.abs(a) ** 2 + np.abs(b) ** 2, peak)
 
 
 class StandingWave:
-    """The field of the flattened assembly at one wavelength, from one per-layer solve.
+    """The field at one wavelength and every gap of a sweep, from three sub-stack solves.
 
-    In layer j the field is ``a_j e^{ik_j z} + b_j e^{-ik_j z}`` times the
-    layer's scale, z measured from the layer's entry face (``tmm._wave_amplitudes``).
-    ``i_gap`` and ``i_membrane`` are the layer indices of ``split_at_gap``, so
-    the membrane is found by position.  L_eff, the emitter overlap xi and the
-    membrane-interface weight all read this one solution.
+    The cavity is cut at the fiber-side gap (``split_at_gap``), and
+    ``tmm._wave_amplitudes`` solves the fiber coating driven from its
+    substrate, the fiber coating driven from the gap, and the rest of the
+    stack driven from the gap, once each.  At gap t_g the gap carries
+    ``a = t_s / (1 - r_f r_rest e^{2ik t_g})`` forward and
+    ``b = r_rest e^{2ik t_g} a`` backward; by linearity a coating layer holds
+    its substrate-driven field plus b times its gap-driven one, and a layer
+    beyond the gap ``a e^{ik t_g}`` times its own.
+
+    Layers run fiber coating (substrate first), gap, rest; ``i_gap`` and
+    ``i_membrane`` (None without a membrane) index them.  At the g-th gap the
+    field in layer j is ``(a[j, g] e^{ik_j z} + b[j, g] e^{-ik_j z})
+    e^{log_scale[j]}``, z from the layer's fiber-side face.
     """
 
-    def __init__(self, assembly: CavityAssembly, wavelength_nm: float):
-        self.assembly = assembly
-        self.wavelength_nm = wavelength_nm
-        self.stack = flatten_assembly(assembly)
-        self.amps, self.log_scales, _, _ = _wave_amplitudes(self.stack, wavelength_nm)
-        _, _, self.i_gap, self.i_membrane = split_at_gap(assembly)
+    def __init__(self, assembly: CavityAssembly, wavelength_nm: float, gaps_nm):
+        fiber, rest = split_at_gap(assembly)
+        self.assembly, self.gaps_nm = assembly, np.atleast_1d(np.asarray(gaps_nm, dtype=float))
+        self.i_gap = len(assembly.fiber_mirror.layers)
+        self.i_membrane = None if assembly.membrane is None else self.i_gap + 1
+        layers = (*assembly.fiber_mirror.layers, Layer(AIR, 1.0), *rest.layers)  # the gap's thickness varies
+        self.n = np.array([layer.material.n for layer in layers])
+        self.k = 2.0 * np.pi * np.array([layer.material.nc for layer in layers]) / wavelength_nm
+        thickness = np.array([layer.thickness_nm for layer in layers])
+        self.d = np.repeat(thickness[:, None], self.gaps_nm.size, axis=1)
+        self.d[self.i_gap] = self.gaps_nm
 
-    def _layer(self, j: int):
-        """(a, b, k, thickness) of layer j."""
-        layer = self.stack.layers[j]
-        a, b = self.amps[j]
-        return a, b, 2.0 * np.pi * layer.material.nc / self.wavelength_nm, layer.thickness_nm
+        from_substrate, ls_substrate, _, t_s = _wave_amplitudes(fiber.reversed(), wavelength_nm)
+        from_gap, ls_gap, r_f, _ = _wave_amplitudes(fiber, wavelength_nm)
+        beyond, ls_rest, r_rest, t_rest = _wave_amplitudes(rest, wavelength_nm)
+        if t_s == 0.0 or t_rest == 0.0:  # _wave_amplitudes then keeps relative fields only
+            raise ValueError(f"a coating is opaque at {wavelength_nm} nm: its transmission underflows")
+        round_trip = r_rest * np.exp(2j * self.k[self.i_gap] * self.gaps_nm)
+        a = t_s / (1.0 - r_f * round_trip)
+        b = round_trip * a
+        # the gap-driven coating field, turned to run substrate first: in each layer
+        # a' e^{ik(d - z)} + b' e^{-ik(d - z)} is (b' e^{-ikd}) e^{ikz} + (a' e^{ikd}) e^{-ikz},
+        # with e^{Im kd} moved into the log scale
+        delta = self.k[:self.i_gap] * thickness[:self.i_gap]
+        fwd_gap, back_gap = np.asarray(from_gap)[::-1].T
+        turned = np.column_stack([back_gap * np.exp(-1j * delta.real),
+                                  fwd_gap * np.exp(1j * delta.real - 2.0 * delta.imag)])
+        ls_turned = ls_gap[::-1] + delta.imag
+        ls_coating = np.maximum(ls_substrate, ls_turned)
+        with np.errstate(under="ignore"):
+            w_substrate, w_turned = np.exp(ls_substrate - ls_coating), np.exp(ls_turned - ls_coating)
+        coating = ((np.asarray(from_substrate) * w_substrate[:, None])[..., None]
+                   + (turned * w_turned[:, None])[..., None] * b)
+        beyond = np.asarray(beyond)[..., None] * (a * np.exp(1j * self.k[self.i_gap] * self.gaps_nm))
+        self.a, self.b = np.concatenate([coating, np.stack([a, b])[None], beyond]).transpose(1, 0, 2)
+        self.log_scale = np.concatenate([ls_coating, [0.0], ls_rest])
 
     def intensity(self, j: int, z_nm):
-        """|a e^{ikz} + b e^{-ikz}|^2 at depths ``z_nm`` into layer j, in that layer's scale."""
-        a, b, k, _ = self._layer(j)
-        return np.abs(a * np.exp(1j * k * z_nm) + b * np.exp(-1j * k * z_nm)) ** 2
+        """|a e^{ikz} + b e^{-ikz}|^2 at depth ``z_nm`` into layer j, per gap, in that layer's scale."""
+        return np.abs(self.a[j] * np.exp(1j * self.k[j] * z_nm) + self.b[j] * np.exp(-1j * self.k[j] * z_nm)) ** 2
 
-    def peak_intensity(self, j: int) -> float:
-        """Max of ``intensity(j, z)`` over the layer."""
-        return _layer_peak_intensity(*self._layer(j))
+    def peak_intensity(self, j: int):
+        """Max of ``intensity(j, z)`` over the layer, per gap."""
+        return _peak_intensity(self.a[j], self.b[j], self.k[j], self.d[j])
 
-    def effective_length_um(self) -> float:
-        """2 * integral of n^2 |E|^2 over the stack / its peak in the host layer, in um.
+    def effective_length_um(self) -> np.ndarray:
+        """2 * integral of n^2 |E|^2 over the stack / its peak in the host layer, in um, per gap.
 
-        The host is the membrane when there is one, else the gap.  Per-layer
-        log scales are referenced to the host layer, so extreme scale
-        separation (opaque mirrors) degrades gracefully instead of
-        over/underflowing.
+        The host is the membrane when there is one, else the gap.  Log scales
+        are referenced to the host layer, so strongly absorbing layers do not
+        over/underflow.
         """
-        if self.i_membrane is not None:
-            j_host = self.i_membrane
-        elif self.assembly.gap_nm > 0:
-            j_host = self.i_gap
-        else:
+        if self.i_membrane is None and not np.all(self.gaps_nm > 0):
             raise ValueError("an empty cavity needs a nonzero gap to host the mode")
-        peak = self.stack.layers[j_host].material.n**2 * self.peak_intensity(j_host)
-        ls_host = self.log_scales[j_host]
+        j = self.i_gap if self.i_membrane is None else self.i_membrane
+        n2 = self.n[:, None] ** 2
+        energy = n2 * _layer_energy(self.a, self.b, self.k[:, None], self.d)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            log_terms = (2.0 * (self.log_scale - self.log_scale[j])[:, None] + np.log(np.maximum(energy, 0.0))
+                         - np.log(n2[j] * self.peak_intensity(j)))
+            return 2.0 * np.sum(np.exp(log_terms), axis=0) * 1e-3
 
-        total = 0.0
-        for j, (layer, ls) in enumerate(zip(self.stack.layers, self.log_scales)):
-            energy = layer.material.n**2 * _layer_energy(*self._layer(j))
-            if energy <= 0.0:
-                continue
-            log_term = 2.0 * (ls - ls_host) + np.log(energy) - np.log(peak)
-            if log_term < -745.0:
-                continue
-            total += np.inf if log_term > 700.0 else np.exp(log_term)
-        return float(2.0 * total) * 1e-3
-
-    def membrane_interface_weight(self) -> float:
-        """n^2 |E|^2 at the membrane's fiber-facing surface over the peak intracavity n^2 |E|^2.
+    def membrane_interface_weight(self) -> np.ndarray:
+        """n^2 |E|^2 at the membrane's fiber-facing surface over the peak intracavity n^2 |E|^2, per gap.
 
         The membrane-side index is used at the boundary; the peak runs over
         the gap, the membrane and the second gap, everything but the coatings.
         """
         if self.i_membrane is None:
             raise ValueError("assembly has no membrane")
-        factors = _scale_factors(self.log_scales)
-        a, b = self.amps[self.i_membrane]
-        e2_if = abs((a + b) * factors[self.i_membrane]) ** 2
-        n_d = self.assembly.membrane.material.n
-        peak = 0.0
-        for j in range(self.i_gap, len(self.stack.layers) - len(self.assembly.plane_mirror.layers)):
-            peak = max(peak, self.stack.layers[j].material.n**2 * factors[j] ** 2 * self.peak_intensity(j))
-        return float(np.clip(n_d**2 * e2_if / peak, 0.0, 1.0))
+        f2 = (self.n * _scale_factors(self.log_scale)) ** 2
+        j = self.i_membrane
+        inner = range(self.i_gap, self.n.size - len(self.assembly.plane_mirror.layers))
+        peak = np.max([f2[i] * self.peak_intensity(i) for i in inner], axis=0)
+        return np.clip(f2[j] * np.abs(self.a[j] + self.b[j]) ** 2 / peak, 0.0, 1.0)
 
 
-def resonant_wave(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel | None = None) -> StandingWave:
-    """The standing wave of ``assembly`` at ``wavelength_nm``, which must be on resonance.
+def effective_length(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel | None = None) -> float:
+    """Energy-weighted effective cavity length in um, at a resonant wavelength.
 
+    L_eff = 2 * integral of n^2 |E|^2 over the stack (mirror penetration
+    included) divided by the peak n^2 |E|^2 in the emitter's host layer
+    (the membrane when present, else the gap).  The factor 2 makes an
+    ideal hard-mirror empty cavity come out at its geometric length.
     Farther than half a cavity linewidth from a resonance the standing-wave
-    normalization is ill-defined, and OffResonanceError is raised.  ``pm``, a
-    PhaseModel of the same assembly at any gap, saves building one; the
+    normalization is ill-defined, and OffResonanceError is raised.  ``pm``,
+    a PhaseModel of the same assembly at any gap, saves building one; the
     result does not change.
     """
     pm = pm if pm is not None else PhaseModel(assembly, wavelength_nm - 5.0, wavelength_nm + 5.0)
@@ -567,19 +583,7 @@ def resonant_wave(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel
             f"{wavelength_nm} nm is {abs(wavelength_nm - wl_res):.4g} nm from the nearest "
             f"resonance at {wl_res:.4f} nm (linewidth {width:.4g} nm)"
         )
-    return StandingWave(assembly, wavelength_nm)
-
-
-def effective_length(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel | None = None) -> float:
-    """Energy-weighted effective cavity length in um, at a resonant wavelength.
-
-    L_eff = 2 * integral of n^2 |E|^2 over the stack (mirror penetration
-    included) divided by the peak n^2 |E|^2 in the emitter's host layer
-    (the membrane when present, else the gap).  The factor 2 makes an
-    ideal hard-mirror empty cavity come out at its geometric length.
-    Raises OffResonanceError off resonance; ``pm`` as in :func:`resonant_wave`.
-    """
-    return resonant_wave(assembly, wavelength_nm, pm).effective_length_um()
+    return float(StandingWave(assembly, wavelength_nm, assembly.gap_nm).effective_length_um()[0])
 
 
 def membrane_interface_intensity(assembly: CavityAssembly, wavelength_nm: float) -> float:
@@ -589,4 +593,4 @@ def membrane_interface_intensity(assembly: CavityAssembly, wavelength_nm: float)
     n^2 |E|^2 (:meth:`StandingWave.membrane_interface_weight`); this is the
     ``relative_intensity`` input of :func:`microcav.metrics.roughness_loss`.
     """
-    return StandingWave(assembly, wavelength_nm).membrane_interface_weight()
+    return float(StandingWave(assembly, wavelength_nm, assembly.gap_nm).membrane_interface_weight()[0])

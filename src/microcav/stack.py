@@ -3,8 +3,9 @@
 The 1D optical world is an ordered sequence of homogeneous layers between
 two semi-infinite media.  ``CavityAssembly`` describes the full
 mirror / gap / membrane / gap / mirror geometry plus the transverse
-parameters, and flattens into a plain ``LayerStack`` for the transfer
-matrix solver.
+parameters; ``split_at_gap`` cuts it at the fiber-side gap into two plain
+``LayerStack``s, the fiber coating and the rest, for the transfer matrix
+solver.
 
 All objects are immutable value types; builders are pure functions, so
 identical inputs always produce identical stacks.
@@ -246,13 +247,12 @@ def hard_mirror(kappa: float = 1e5, thickness_nm: float = 0.012) -> Mirror:
     return Mirror(SILICA, (Layer(m, thickness_nm),), excess_loss_ppm=0.0)
 
 
-def split_at_gap(assembly: CavityAssembly) -> tuple[LayerStack, LayerStack, int, int | None]:
-    """The cavity cut open at the fiber-side air gap: (fiber, rest, i_gap, i_membrane).
+def split_at_gap(assembly: CavityAssembly) -> tuple[LayerStack, LayerStack]:
+    """The cavity cut open at the fiber-side air gap: (fiber, rest).
 
     ``fiber`` is the fiber coating and ``rest`` everything beyond the gap
-    (membrane, second air gap, plane coating), each seen from the gap.  In
-    :func:`flatten_assembly`'s layers the gap sits at ``i_gap`` (when
-    ``gap_nm > 0``) and the membrane at ``i_membrane`` (None without one).
+    (membrane, second air gap, plane coating), each seen from the gap.  A zero
+    second gap is omitted, so the membrane then sits on the plane coating.
     """
     rest: list[Layer] = []
     if assembly.membrane is not None:
@@ -260,23 +260,7 @@ def split_at_gap(assembly: CavityAssembly) -> tuple[LayerStack, LayerStack, int,
     if assembly.gap2_nm > 0:
         rest.append(Layer(AIR, assembly.gap2_nm))
     rest.extend(reversed(assembly.plane_mirror.layers))
-    i_gap = len(assembly.fiber_mirror.layers)
-    i_membrane = None if assembly.membrane is None else i_gap + (1 if assembly.gap_nm > 0 else 0)
-    return (assembly.fiber_mirror.as_stack(AIR), LayerStack(AIR, tuple(rest), assembly.plane_mirror.substrate),
-            i_gap, i_membrane)
-
-
-def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
-    """Full cavity as one stack, fiber substrate -> plane-mirror substrate.
-
-    Order: fiber coating, air gap, membrane, second air gap, plane coating.
-    Zero-width gaps are omitted (a membrane with ``gap2_nm = 0`` sits
-    directly on the plane-mirror cap layer).  Total geometric thickness is
-    preserved exactly.
-    """
-    _, rest, _, _ = split_at_gap(assembly)
-    gap = (Layer(AIR, assembly.gap_nm),) if assembly.gap_nm > 0 else ()
-    return LayerStack(assembly.fiber_mirror.substrate, assembly.fiber_mirror.layers + gap + rest.layers, rest.exit)
+    return assembly.fiber_mirror.as_stack(AIR), LayerStack(AIR, tuple(rest), assembly.plane_mirror.substrate)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +268,14 @@ def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
 # ---------------------------------------------------------------------------
 
 _MIRROR_KEYS = {"center_wavelength_nm", "n_high", "n_low", "pairs", "substrate_n", "excess_loss_ppm"}
+_ASSEMBLY_KEYS = {"fiber_mirror", "gap_nm", "membrane", "gap2_nm", "plane_mirror", "r_c_um", "implant_depth_nm"}
+_MEMBRANE_KEYS = {"thickness_nm", "n", "sigma_rms_nm"}
+
+
+def _reject_unknown(cfg: dict, known: set, what: str) -> None:
+    unknown = set(cfg) - known
+    if unknown:
+        raise GeometryError(f"{what}: unknown keys {sorted(unknown)}")
 
 
 def _mirror_from_config(cfg, what: str) -> Mirror:
@@ -291,9 +283,7 @@ def _mirror_from_config(cfg, what: str) -> Mirror:
         return build_mirror()
     if not isinstance(cfg, dict):
         raise GeometryError(f"{what}: expected 'default' or an object, got {cfg!r}")
-    unknown = set(cfg) - _MIRROR_KEYS
-    if unknown:
-        raise GeometryError(f"{what}: unknown keys {sorted(unknown)}")
+    _reject_unknown(cfg, _MIRROR_KEYS, what)
     substrate = Material("substrate", float(cfg.get("substrate_n", constants.MIRROR_N_LOW)))
     return build_mirror(
         center_wavelength_nm=float(cfg.get("center_wavelength_nm", constants.MIRROR_CENTER_NM)),
@@ -321,14 +311,20 @@ def assembly_from_config(cfg: dict) -> CavityAssembly:
           "r_c_um": float,
           "implant_depth_nm": float
         }
+
+    ``implant_depth_nm`` (default 0) places the emitters, from the membrane's
+    fiber-facing surface.  Unknown keys, at the top level or in
+    ``membrane``, are rejected.
     """
     required = {"gap_nm", "r_c_um"}
     missing = required - set(cfg)
     if missing:
         raise GeometryError(f"assembly config missing keys {sorted(missing)}")
+    _reject_unknown(cfg, _ASSEMBLY_KEYS, "assembly config")
     membrane = None
     mcfg = cfg.get("membrane")
     if mcfg is not None:
+        _reject_unknown(mcfg, _MEMBRANE_KEYS, "membrane")
         mat = Material("diamond", float(mcfg.get("n", constants.N_DIAMOND)))
         membrane = Layer(
             mat,

@@ -1,4 +1,4 @@
-"""1D transfer-matrix solver: complex r/t, power coefficients, field profiles.
+"""1D transfer-matrix solver: complex r/t, power coefficients, per-layer fields.
 
 Characteristic-matrix formalism at normal incidence with the
 exp(+ikz - iwt) convention.  For a layer of complex index n and thickness
@@ -10,7 +10,11 @@ at the exit face) is::
 
 and the stack matrix is the ordered product over layers, entry side first.
 All wavelength arguments accept scalars or arrays (vectorized over
-wavelength).
+wavelength).  The stacks solved here are single coatings or the part of the
+cavity beyond the fiber-side gap, never the whole cavity:
+``resonance.split_response`` composes those in closed form, and
+``resonance.StandingWave`` combines their per-layer amplitudes
+(``_wave_amplitudes``) into the cavity's field.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .stack import LayerStack
 
-__all__ = ["StackResponse", "FieldProfile", "stack_response", "field_profile", "interface_mismatch"]
+__all__ = ["StackResponse", "FieldProfile", "stack_response", "field_profile"]
 
 
 @dataclass(frozen=True)
@@ -145,13 +149,6 @@ def amplitude_coefficients(stack: LayerStack, wavelength_nm):
     return r, t
 
 
-def transmission(stack: LayerStack, wavelength_nm):
-    """Power transmission T(lambda); vectorized over wavelength."""
-    r, t = amplitude_coefficients(stack, wavelength_nm)
-    n_ratio = stack.exit.nc.real / stack.entry.nc.real
-    return n_ratio * np.abs(t) ** 2
-
-
 def stack_response(stack: LayerStack, wavelength_nm: float) -> StackResponse:
     """Full response record at a single wavelength."""
     r, t = amplitude_coefficients(stack, float(wavelength_nm))
@@ -248,24 +245,3 @@ def field_profile(stack: LayerStack, wavelength_nm: float, samples_per_layer: in
     n_of_z = np.concatenate(ns)
     E = E / np.max(np.abs(E))
     return FieldProfile(z, E, n_of_z, tuple(segs), float(wavelength_nm))
-
-
-def interface_mismatch(stack: LayerStack, wavelength_nm: float) -> float:
-    """Max |E| discontinuity across interior interfaces (should be ~0).
-
-    Evaluates the analytic per-layer solutions at both sides of every
-    interior boundary; tangential-field continuity makes the true jump
-    zero, so this measures only numerical error.
-    """
-    amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
-    factors = _scale_factors(log_scales)
-    worst = 0.0
-    for j in range(len(stack.layers) - 1):
-        layer = stack.layers[j]
-        k = 2.0 * np.pi * layer.material.nc / wavelength_nm
-        a, b = amps[j]
-        left = (a * np.exp(1j * k * layer.thickness_nm) + b * np.exp(-1j * k * layer.thickness_nm)) * factors[j]
-        a2, b2 = amps[j + 1]
-        right = (a2 + b2) * factors[j + 1]
-        worst = max(worst, abs(abs(left) - abs(right)))
-    return worst

@@ -34,11 +34,16 @@ def rng():
 
 @pytest.fixture()
 def field_solves(monkeypatch):
-    """A list that grows by one per per-layer field solve (tmm._wave_amplitudes, at both of its bindings)."""
+    """The stack of every per-layer field solve (tmm._wave_amplitudes, at both of its bindings), in call order."""
     calls = []
     solve = tmm._wave_amplitudes
+
+    def counted(stack, wavelength_nm):
+        calls.append(stack)
+        return solve(stack, wavelength_nm)
+
     for module in (tmm, resonance):
-        monkeypatch.setattr(module, "_wave_amplitudes", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        monkeypatch.setattr(module, "_wave_amplitudes", counted)
     return calls
 
 

@@ -1,0 +1,165 @@
+"""Test oracles: the whole cavity flattened into one stack and solved in one pass.
+
+The package cuts the cavity open at the fiber-side gap and composes the
+pieces; these are the full-stack forms it replaced, kept to check it
+against:
+
+* ``flatten_assembly``: fiber coating, gap, membrane, second gap and plane
+  coating as one ``LayerStack``;
+* ``transmission`` of a stack from its planar TMM product;
+* ``interface_mismatch``: the |E| jump across the interior interfaces of a
+  per-layer solution;
+* ``FlatStandingWave``: one ``tmm._wave_amplitudes`` solve of the flattened
+  cavity at one gap, and L_eff, the emitter overlap and the
+  membrane-interface weight read from it layer by layer.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from microcav.stack import AIR, CavityAssembly, Layer, LayerStack, split_at_gap
+from microcav.tmm import _scale_factors, _wave_amplitudes, amplitude_coefficients
+
+
+def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
+    """Full cavity as one stack, fiber substrate -> plane-mirror substrate.
+
+    Order: fiber coating, air gap, membrane, second air gap, plane coating.
+    Zero-width gaps are omitted (a membrane with ``gap2_nm = 0`` sits
+    directly on the plane-mirror cap layer).  Total geometric thickness is
+    preserved exactly.
+    """
+    _, rest = split_at_gap(assembly)
+    gap = (Layer(AIR, assembly.gap_nm),) if assembly.gap_nm > 0 else ()
+    return LayerStack(assembly.fiber_mirror.substrate, assembly.fiber_mirror.layers + gap + rest.layers, rest.exit)
+
+
+def transmission(stack: LayerStack, wavelength_nm):
+    """Power transmission T(lambda); vectorized over wavelength."""
+    _, t = amplitude_coefficients(stack, wavelength_nm)
+    return stack.exit.nc.real / stack.entry.nc.real * np.abs(t) ** 2
+
+
+def interface_mismatch(stack: LayerStack, wavelength_nm: float) -> float:
+    """Max |E| discontinuity across interior interfaces (should be ~0).
+
+    Evaluates the analytic per-layer solutions at both sides of every
+    interior boundary; tangential-field continuity makes the true jump
+    zero, so this measures only numerical error.
+    """
+    amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
+    factors = _scale_factors(log_scales)
+    worst = 0.0
+    for j in range(len(stack.layers) - 1):
+        layer = stack.layers[j]
+        k = 2.0 * np.pi * layer.material.nc / wavelength_nm
+        a, b = amps[j]
+        left = (a * np.exp(1j * k * layer.thickness_nm) + b * np.exp(-1j * k * layer.thickness_nm)) * factors[j]
+        a2, b2 = amps[j + 1]
+        right = (a2 + b2) * factors[j + 1]
+        worst = max(worst, abs(abs(left) - abs(right)))
+    return worst
+
+
+def _expm1_over(c: float, d: float) -> float:
+    """(exp(c d) - 1)/c with the c -> 0 limit."""
+    x = c * d
+    if abs(x) < 1e-12:
+        return d * (1.0 + 0.5 * x)
+    return float(np.expm1(x) / c)
+
+
+def _layer_energy(a: complex, b: complex, k: complex, d: float) -> float:
+    """Integral of |a e^{ikz} + b e^{-ikz}|^2 over a layer of thickness d."""
+    tiny = 1e-140
+    total = 0.0
+    if abs(a) > tiny:
+        total += abs(a) ** 2 * _expm1_over(-2.0 * k.imag, d)
+    if abs(b) > tiny:
+        total += abs(b) ** 2 * _expm1_over(2.0 * k.imag, d)
+    if abs(a) > tiny and abs(b) > tiny:
+        total += 2.0 * (a * np.conj(b) * (np.exp(2j * k.real * d) - 1.0) / (2j * k.real)).real
+    return total
+
+
+def _layer_peak_intensity(a: complex, b: complex, k: complex, d: float) -> float:
+    """Max of |a e^{ikz} + b e^{-ikz}|^2 over z in [0, d]; sampled at 2001 depths in a lossy layer."""
+    if abs(k.imag) > 1e-12:
+        z = np.linspace(0.0, d, 2001)
+        return float(np.max(np.abs(a * np.exp(1j * k * z) + b * np.exp(-1j * k * z)) ** 2))
+    if abs(a) < 1e-140 or abs(b) < 1e-140:
+        return abs(a) ** 2 + abs(b) ** 2
+    kp = k.real
+    # antinode where cos(2 k z + phi) = 1
+    z_star = -np.angle(a * np.conj(b)) / (2.0 * kp)
+    period = np.pi / kp
+    z_star -= np.floor(z_star / period) * period
+    if 0.0 <= z_star <= d:
+        return (abs(a) + abs(b)) ** 2
+    return float(max(abs(a * np.exp(1j * kp * z) + b * np.exp(-1j * kp * z)) ** 2 for z in (0.0, d)))
+
+
+class FlatStandingWave:
+    """The field of the flattened assembly at its own gap, from one per-layer solve.
+
+    In layer j the field is ``a_j e^{ik_j z} + b_j e^{-ik_j z}`` times the
+    layer's scale, z measured from the layer's entry face.  ``i_gap`` and
+    ``i_membrane`` are the flattened layer indices of the gap (when
+    ``gap_nm > 0``) and of the membrane (None without one).
+    """
+
+    def __init__(self, assembly: CavityAssembly, wavelength_nm: float):
+        self.assembly = assembly
+        self.wavelength_nm = wavelength_nm
+        self.stack = flatten_assembly(assembly)
+        self.amps, self.log_scales, _, _ = _wave_amplitudes(self.stack, wavelength_nm)
+        self.i_gap = len(assembly.fiber_mirror.layers)
+        self.i_membrane = None if assembly.membrane is None else self.i_gap + (1 if assembly.gap_nm > 0 else 0)
+
+    def _layer(self, j: int):
+        """(a, b, k, thickness) of layer j."""
+        layer = self.stack.layers[j]
+        a, b = self.amps[j]
+        return a, b, 2.0 * np.pi * layer.material.nc / self.wavelength_nm, layer.thickness_nm
+
+    def peak_intensity(self, j: int) -> float:
+        return _layer_peak_intensity(*self._layer(j))
+
+    def xi(self, implant_depth_nm: float, dipole_angle_rad: float = 0.0) -> float:
+        """|E| at the implant depth over its peak in the membrane, times |cos(angle)|."""
+        a, b, k, _ = self._layer(self.i_membrane)
+        e2 = abs(a * np.exp(1j * k * implant_depth_nm) + b * np.exp(-1j * k * implant_depth_nm)) ** 2
+        return float(np.sqrt(e2 / self.peak_intensity(self.i_membrane)) * abs(np.cos(dipole_angle_rad)))
+
+    def effective_length_um(self) -> float:
+        """2 * integral of n^2 |E|^2 over the stack / its peak in the host layer, in um."""
+        if self.i_membrane is not None:
+            j_host = self.i_membrane
+        elif self.assembly.gap_nm > 0:
+            j_host = self.i_gap
+        else:
+            raise ValueError("an empty cavity needs a nonzero gap to host the mode")
+        peak = self.stack.layers[j_host].material.n**2 * self.peak_intensity(j_host)
+        ls_host = self.log_scales[j_host]
+        total = 0.0
+        for j, (layer, ls) in enumerate(zip(self.stack.layers, self.log_scales)):
+            energy = layer.material.n**2 * _layer_energy(*self._layer(j))
+            if energy <= 0.0:
+                continue
+            log_term = 2.0 * (ls - ls_host) + np.log(energy) - np.log(peak)
+            if log_term < -745.0:
+                continue
+            total += np.inf if log_term > 700.0 else np.exp(log_term)
+        return float(2.0 * total) * 1e-3
+
+    def membrane_interface_weight(self) -> float:
+        """n^2 |E|^2 at the membrane's fiber-facing surface over the peak over gap, membrane and second gap."""
+        factors = _scale_factors(self.log_scales)
+        a, b = self.amps[self.i_membrane]
+        e2_if = abs((a + b) * factors[self.i_membrane]) ** 2
+        n_d = self.assembly.membrane.material.n
+        peak = 0.0
+        for j in range(self.i_gap, len(self.stack.layers) - len(self.assembly.plane_mirror.layers)):
+            peak = max(peak, self.stack.layers[j].material.n**2 * factors[j] ** 2 * self.peak_intensity(j))
+        return float(np.clip(n_d**2 * e2_if / peak, 0.0, 1.0))

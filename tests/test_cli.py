@@ -120,6 +120,23 @@ class TestPurcellCommand:
         f_p = float(first[8])
         assert abs(f_p - 0.071) <= 0.018
 
+    def test_implant_depth_read_from_the_assembly(self, tmp_path, capsys):
+        def table(depth_nm):
+            cfg = {**st.default_assembly_config(), "implant_depth_nm": depth_nm}
+            (tmp_path / "a.json").write_text(json.dumps(cfg))
+            assert run(tmp_path, "purcell", "--points", "3", "--assembly", str(tmp_path / "a.json")) == 0
+            return (tmp_path / "purcell.csv").read_bytes()
+
+        assert run(tmp_path, "purcell", "--points", "3") == 0
+        default = (tmp_path / "purcell.csv").read_bytes()
+        assert table(75.0) == default
+        assert table(300.0) != default
+        emitter = tmp_path / "emitter.json"
+        emitter.write_text(json.dumps({"implant_depth_nm": 300.0}))
+        capsys.readouterr()
+        assert run(tmp_path, "purcell", "--points", "3", "--emitter", str(emitter)) == 1
+        assert "set in the assembly config" in capsys.readouterr().err
+
     def test_empty_gap_list_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             run(tmp_path, "purcell", "--points", "0")
@@ -190,9 +207,18 @@ class TestMetricsCommand:
         assert run(tmp_path, "metrics", "--assembly", str(tmp_path / "a.json")) == 0
         assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 0.0
 
-    def test_one_field_solve(self, tmp_path, field_solves):
-        assert run(tmp_path, "metrics") == 0
-        assert len(field_solves) == 1
+    def test_three_field_solves_per_command(self, tmp_path, field_solves):
+        # metrics, a 40-point purcell sweep and fit-lifetime's 25-point sweep each
+        # solve three sub-stacks, none of which holds both coatings
+        assembly = st.default_assembly()
+        both = len(assembly.fiber_mirror.layers) + len(assembly.plane_mirror.layers)
+        data = tmp_path / "lifetimes.csv"
+        io.write_csv(data, ["l_eff_um", "tau_ns", "sigma_ns"], [(8.0, 1.30, 0.03), (15.0, 1.33, 0.03), (22.0, 1.34, 0.03)])
+        for argv in (["metrics"], ["purcell", "--points", "40"], ["fit-lifetime", "--data", str(data)]):
+            field_solves.clear()
+            assert run(tmp_path, *argv) == 0
+            assert len(field_solves) == 3, argv
+            assert all(len(stack.layers) < both for stack in field_solves)
 
     def test_provenance_records_the_membrane_loss_used(self, tmp_path):
         data = tmp_path / "lifetimes.csv"

@@ -7,13 +7,14 @@ from microcav import constants, purcell, resonance, tmm
 from microcav import stack as st
 from microcav.peaks import find_peaks
 from microcav.purcell import EmitterParams, LifetimeModel, fit_lifetime_model, predict_lifetime_curve
+from oracles import flatten_assembly
 
 
 @pytest.fixture(scope="module")
 def cd_wave(membrane_assembly):
     pm = resonance.PhaseModel(membrane_assembly, 730, 745)
     gap, _ = pm.retune_gap(constants.SIV_ZPL_CD_NM, 6000.0)
-    return resonance.StandingWave(membrane_assembly.with_gap(gap), constants.SIV_ZPL_CD_NM)
+    return resonance.StandingWave(membrane_assembly, constants.SIV_ZPL_CD_NM, gap)
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +26,8 @@ def dense_membrane_profiles(membrane_assembly):
     out = []
     for gap_nm in (9000.0, 15000.0, 25000.0):
         cav = membrane_assembly.with_gap(pm.retune_gap(wl, gap_nm)[0])
-        wave = resonance.StandingWave(cav, wl)
-        prof = tmm.field_profile(st.flatten_assembly(cav), wl, samples_per_layer=40000)
+        wave = resonance.StandingWave(membrane_assembly, wl, cav.gap_nm)
+        prof = tmm.field_profile(flatten_assembly(cav), wl, samples_per_layer=40000)
         z0, z1 = prof.segments[wave.i_membrane][:2]
         sel = (prof.z_nm >= z0) & (prof.z_nm <= z1)
         out.append((wave, prof.z_nm[sel] - z0, np.abs(prof.E[sel]) ** 2))
@@ -37,7 +38,7 @@ def dense_membrane_profiles(membrane_assembly):
 def cd_xi_profile(cd_wave):
     """(depth, xi) through the membrane on a 0.1 nm grid."""
     depth = np.linspace(0.0, 1420.0, 14_201)
-    return depth, np.array([purcell.xi_overlap(cd_wave, z, 0.0) for z in depth])
+    return depth, np.array([purcell.xi_overlap(cd_wave, z, 0.0)[0] for z in depth])
 
 
 class TestXiOverlap:
@@ -58,12 +59,12 @@ class TestXiOverlap:
         peaks, _, _ = find_peaks(xi**2)
         first_depth = float(depth[peaks[0]])
         assert 40.0 <= first_depth <= 110.0
-        assert purcell.xi_overlap(cd_wave, 75.0, 0.0) >= 0.9
+        assert purcell.xi_overlap(cd_wave, 75.0, 0.0)[0] >= 0.9
 
     def test_dipole_angle_projection(self, cd_wave):
         xi0 = purcell.xi_overlap(cd_wave, 75.0, 0.0)
         xi60 = purcell.xi_overlap(cd_wave, 75.0, np.pi / 3)
-        assert xi60 == pytest.approx(0.5 * xi0, rel=1e-9)
+        np.testing.assert_allclose(xi60, 0.5 * xi0, rtol=1e-9)
 
     def test_outside_diamond_rejected(self, cd_wave):
         with pytest.raises(ValueError, match="outside"):
@@ -187,12 +188,33 @@ class TestLifetimeCurve:
         # the exact overlap against a 40000-samples-per-layer profile, membrane found by position
         for wave, z, intensity in dense_membrane_profiles:
             oracle = np.sqrt(np.interp(depth_nm, z, intensity) / np.max(intensity)) * np.cos(0.3)
-            assert purcell.xi_overlap(wave, depth_nm, 0.3) == pytest.approx(oracle, rel=0.0, abs=1e-6)
+            assert purcell.xi_overlap(wave, depth_nm, 0.3)[0] == pytest.approx(oracle, rel=0.0, abs=1e-6)
 
-    def test_one_field_solve_per_point(self, membrane_assembly, field_solves):
-        pts = predict_lifetime_curve(membrane_assembly, np.linspace(6000.0, 30_000.0, 7), EmitterParams(), 1.36, 0.51)
-        assert all(not p.flag for p in pts)
-        assert len(field_solves) == 7
+    def test_field_solves_per_sweep_not_per_point(self, membrane_assembly, field_solves):
+        # three sub-stack solves serve the whole sweep, and none holds both coatings
+        both = len(membrane_assembly.fiber_mirror.layers) + len(membrane_assembly.plane_mirror.layers)
+        counts = []
+        for n_points in (7, 40):
+            field_solves.clear()
+            pts = predict_lifetime_curve(membrane_assembly, np.linspace(6000.0, 30_000.0, n_points), EmitterParams(), 1.36, 0.51)
+            assert len(pts) == n_points and all(not p.flag for p in pts)
+            assert all(len(stack.layers) < both for stack in field_solves)
+            counts.append(len(field_solves))
+        assert counts == [3, 3]
+
+    def test_implant_depth_comes_from_the_assembly(self, membrane_assembly):
+        gaps = np.linspace(6000.0, 30_000.0, 5)
+        at_75 = predict_lifetime_curve(membrane_assembly, gaps, EmitterParams(), 1.36, 0.51)
+        deeper = dataclasses.replace(membrane_assembly, implant_depth_nm=300.0)
+        at_300 = predict_lifetime_curve(deeper, gaps, EmitterParams(), 1.36, 0.51)
+        assert [p.l_eff_um for p in at_300] == [p.l_eff_um for p in at_75]
+        assert all(abs(a.xi - b.xi) > 0.01 for a, b in zip(at_75, at_300))
+        wave = resonance.StandingWave(deeper, constants.SIV_ZPL_CD_NM, [p.gap_nm for p in at_300])
+        np.testing.assert_array_equal(purcell.xi_overlap(wave, 300.0), [p.xi for p in at_300])
+
+    def test_every_point_flagged_sweep(self, membrane_assembly):
+        pts = predict_lifetime_curve(membrane_assembly, [60_000.0, 80_000.0], EmitterParams(), 1.36, 0.51)
+        assert [p.q_gap for p in pts] == [-1, -1] and all("unstable" in p.flag for p in pts)
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +284,7 @@ class TestEmitterParams:
         assert em.zpl_wavelength_nm == 736.57
         with pytest.raises(ValueError, match="unknown"):
             purcell.emitter_from_config({"bogus": 1})
+
+    def test_implant_depth_key_points_to_the_assembly(self):
+        with pytest.raises(ValueError, match="assembly config.*'implant_depth_nm'"):
+            purcell.emitter_from_config({"implant_depth_nm": 75.0})

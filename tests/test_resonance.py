@@ -5,10 +5,13 @@ import pytest
 
 from microcav import constants, metrics, tmm
 from microcav import stack as st
+from oracles import FlatStandingWave, flatten_assembly, transmission
+from microcav.purcell import xi_overlap
 from microcav.resonance import (
     NoResonanceError,
     OffResonanceError,
     PhaseModel,
+    StandingWave,
     dispersion_map,
     effective_length,
     find_resonances,
@@ -54,11 +57,11 @@ class TestEmptyCavity:
         wl = 736.0
         q = 27
         gap_res = q * wl / 2
-        stack_t = lambda g: tmm.transmission(st.flatten_assembly(empty_assembly.with_gap(g)), wl)
+        stack_t = lambda g: transmission(flatten_assembly(empty_assembly.with_gap(g)), wl)
         t_res = stack_t(gap_res)
         for dg in (-30.0, -10.0, 10.0, 30.0):
             assert stack_t(gap_res + dg) < t_res
-        resp = tmm.stack_response(st.flatten_assembly(empty_assembly.with_gap(gap_res)), wl)
+        resp = tmm.stack_response(flatten_assembly(empty_assembly.with_gap(gap_res)), wl)
         assert resp.R < 0.01  # R minimal on resonance for the symmetric cavity
 
     def test_membrane_removal_restores_linear_dispersion(self, fixture_mirror):
@@ -348,9 +351,9 @@ class TestPhaseRoots:
         for asm, gaps, window, kw in _oracle_cases(membrane_assembly, leaky_hard_assembly):
             pm = PhaseModel(asm, window[0] - 5.0, window[1] + 5.0)
             for p in find_resonances(asm, gaps, window, **kw):
-                stack = st.flatten_assembly(asm.with_gap(p.gap_nm))
+                stack = flatten_assembly(asm.with_gap(p.gap_nm))
                 half = 0.3 * pm.linewidth_nm(p.wavelength_nm, p.gap_nm)
-                peak = _golden_max(lambda w: float(tmm.transmission(stack, w)), p.wavelength_nm - half, p.wavelength_nm + half)
+                peak = _golden_max(lambda w: float(transmission(stack, w)), p.wavelength_nm - half, p.wavelength_nm + half)
                 assert abs(p.wavelength_nm - peak) <= 1e-6
                 checked += 1
         assert checked == 22 + 3 + 4
@@ -436,6 +439,25 @@ def _mirror(draw, hst):
                      tuple(st.Layer(st.Material("m", n, k), d) for n, k, d in layers))
 
 
+def _assemblies(hst):
+    """Random cavities: lossless and absorbing coatings, a (lossy) membrane or none, each gap zero or not."""
+
+    @hst.composite
+    def assemblies(draw):
+        membrane = None
+        if draw(hst.booleans()):
+            material = st.Material("diamond", draw(hst.floats(1.5, 2.6)), draw(hst.sampled_from([0.0, 1e-4, 0.01])))
+            membrane = st.Layer(material, draw(hst.floats(100.0, 3000.0)))
+        gap, gap2 = (draw(_gaps(hst)) for _ in range(2))
+        return st.CavityAssembly(_mirror(draw, hst), gap, membrane, gap2, _mirror(draw, hst), r_c_um=45.0)
+
+    return assemblies()
+
+
+def _gaps(hst):
+    return hst.one_of(hst.just(0.0), hst.floats(1.0, 20_000.0))
+
+
 class TestAiryComposition:
     def test_matches_planar_tmm(self):
         # lossless and absorbing coatings, with and without a (lossy) membrane,
@@ -444,21 +466,12 @@ class TestAiryComposition:
         hst = hypothesis.strategies
         from microcav.resonance import split_response
 
-        @hst.composite
-        def assemblies(draw):
-            membrane = None
-            if draw(hst.booleans()):
-                material = st.Material("diamond", draw(hst.floats(1.5, 2.6)), draw(hst.sampled_from([0.0, 1e-4, 0.01])))
-                membrane = st.Layer(material, draw(hst.floats(100.0, 3000.0)))
-            gap, gap2 = (draw(hst.one_of(hst.just(0.0), hst.floats(1.0, 20_000.0))) for _ in range(2))
-            return st.CavityAssembly(_mirror(draw, hst), gap, membrane, gap2, _mirror(draw, hst), r_c_um=45.0)
-
         @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-        @hypothesis.given(assemblies(), hst.lists(hst.floats(500.0, 1000.0), min_size=1, max_size=8))
+        @hypothesis.given(_assemblies(hst), hst.lists(hst.floats(500.0, 1000.0), min_size=1, max_size=8))
         def check(asm, wls):
             wl = np.asarray(wls)
             split = split_response(asm, wl)
-            planar = tmm.transmission(st.flatten_assembly(asm), wl)
+            planar = transmission(flatten_assembly(asm), wl)
             np.testing.assert_allclose(split.transmission(asm.gap_nm), planar, rtol=1e-9, atol=0.0)
             # the closed-form membrane and second gap against the TMM of the same rest of the stack
             r_rest, t_rest = tmm.amplitude_coefficients(st.split_at_gap(asm)[1], wl)
@@ -466,3 +479,52 @@ class TestAiryComposition:
             np.testing.assert_allclose(split.t_rest, t_rest, rtol=1e-12, atol=0.0)
 
         check()
+
+
+def _assert_matches_flat_oracle(asm, wl, gaps, depth_fraction=0.3, angle=0.4):
+    """L_eff, xi and the interface weight of one StandingWave over ``gaps`` against a flattened solve per gap."""
+    wave = StandingWave(asm, wl, gaps)
+    oracles = [FlatStandingWave(asm.with_gap(g), wl) for g in gaps]
+    np.testing.assert_allclose(wave.effective_length_um(), [o.effective_length_um() for o in oracles], rtol=1e-10, atol=0.0)
+    if asm.membrane is not None:
+        depth = depth_fraction * asm.membrane.thickness_nm
+        np.testing.assert_allclose(xi_overlap(wave, depth, angle), [o.xi(depth, angle) for o in oracles], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(wave.membrane_interface_weight(), [o.membrane_interface_weight() for o in oracles],
+                                   rtol=1e-10, atol=0.0)
+
+
+class TestStandingWave:
+    def test_matches_flattened_oracle(self):
+        # the three sub-stack solves against one full-stack solve per gap, on the
+        # random cavities of TestAiryComposition and several gaps in one call
+        hypothesis = pytest.importorskip("hypothesis")
+        hst = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(_assemblies(hst), hst.floats(600.0, 900.0), hst.lists(_gaps(hst), min_size=1, max_size=5),
+                          hst.floats(0.0, 1.0))
+        def check(asm, wl, gaps, depth_fraction):
+            if asm.membrane is None:  # the gap hosts the mode, so it must be open
+                gaps = [g for g in gaps if g > 0] or [asm.gap_nm or 1.0]
+            _assert_matches_flat_oracle(asm, wl, gaps, depth_fraction)
+
+        check()
+
+    def test_hard_mirrors_match_oracle(self, hard_assembly):
+        pm = PhaseModel(hard_assembly, 730.0, 745.0)
+        wl, _ = pm.nearest_resonance(737.0, hard_assembly.gap_nm)
+        gaps = np.linspace(2_000.0, 20_000.0, 7) + np.array([0.0, 3.0, 0.0, 117.0, 0.0, 0.5, 0.0])
+        _assert_matches_flat_oracle(hard_assembly, wl, np.append(gaps, hard_assembly.gap_nm))
+        assert StandingWave(hard_assembly, wl, hard_assembly.gap_nm).effective_length_um()[0] == pytest.approx(10.0, abs=1e-5)
+
+    def test_retuned_sweep_matches_oracle(self, membrane_assembly):
+        wl = constants.SIV_ZPL_CD_NM
+        pm = PhaseModel(membrane_assembly, wl - 10.0, wl + 10.0)
+        gaps = [pm.retune_gap(wl, g)[0] for g in np.linspace(1_000.0, 30_000.0, 40)]
+        _assert_matches_flat_oracle(membrane_assembly, wl, gaps, depth_fraction=75.0 / 1420.0, angle=0.0)
+
+    def test_empty_gap_cannot_host(self, empty_assembly):
+        with pytest.raises(ValueError, match="nonzero gap"):
+            StandingWave(empty_assembly, 737.0, [5_000.0, 0.0]).effective_length_um()
+        with pytest.raises(ValueError, match="no membrane"):
+            StandingWave(empty_assembly, 737.0, 5_000.0).membrane_interface_weight()

@@ -5,6 +5,7 @@ import pytest
 from microcav import constants, tmm
 from microcav import stack as st
 from microcav.stack import GeometryError
+from oracles import flatten_assembly
 
 
 def design_mirror_index(center_wavelength_nm, pairs, n_low, target_transmission_ppm, bracket=(1.7, 2.5)):
@@ -100,7 +101,7 @@ class TestAssembly:
                               implant_depth_nm=2000.0)
 
     def test_flatten_five_segments(self, membrane_assembly):
-        s = st.flatten_assembly(membrane_assembly)
+        s = flatten_assembly(membrane_assembly)
         names = [l.material.name for l in s.layers]
         n_mirror = len(membrane_assembly.fiber_mirror.layers)
         middle = names[n_mirror : n_mirror + 3]
@@ -110,7 +111,7 @@ class TestAssembly:
     def test_flatten_zero_gap2(self, fixture_mirror):
         mem = st.Layer(st.DIAMOND, 1420.0)
         asm = st.CavityAssembly(fixture_mirror, 5000.0, mem, 0.0, fixture_mirror, r_c_um=45.0)
-        s = st.flatten_assembly(asm)
+        s = flatten_assembly(asm)
         names = [l.material.name for l in s.layers]
         i = names.index("diamond")
         # diamond sits directly on the plane-mirror cap layer
@@ -119,7 +120,7 @@ class TestAssembly:
     def test_flatten_preserves_total_thickness_exactly(self, membrane_assembly):
         import math
 
-        s = st.flatten_assembly(membrane_assembly)
+        s = flatten_assembly(membrane_assembly)
         parts = [l.thickness_nm for l in membrane_assembly.fiber_mirror.layers]
         parts += [membrane_assembly.gap_nm, membrane_assembly.membrane.thickness_nm, membrane_assembly.gap2_nm]
         parts += [l.thickness_nm for l in membrane_assembly.plane_mirror.layers]
@@ -127,7 +128,7 @@ class TestAssembly:
         assert math.fsum(l.thickness_nm for l in s.layers) == math.fsum(parts)
 
     def test_flatten_round_trip_readback(self, membrane_assembly):
-        s = st.flatten_assembly(membrane_assembly)
+        s = flatten_assembly(membrane_assembly)
         n_mirror = len(membrane_assembly.fiber_mirror.layers)
         assert s.layers[n_mirror].thickness_nm == membrane_assembly.gap_nm
         assert s.layers[n_mirror + 1].thickness_nm == membrane_assembly.membrane.thickness_nm
@@ -137,16 +138,13 @@ class TestAssembly:
     def test_split_at_gap_matches_flattened_layout(self, fixture_mirror, gap, membrane, gap2):
         mem = st.Layer(st.DIAMOND, 1420.0) if membrane else None
         asm = st.CavityAssembly(fixture_mirror, gap, mem, gap2, fixture_mirror, r_c_um=45.0)
-        fiber, rest, i_gap, i_membrane = st.split_at_gap(asm)
-        flat = st.flatten_assembly(asm)
+        fiber, rest = st.split_at_gap(asm)
+        flat = flatten_assembly(asm)
         gap_layers = (st.Layer(st.AIR, gap),) if gap > 0 else ()
         assert flat.layers == tuple(reversed(fiber.layers)) + gap_layers + rest.layers
         assert fiber.entry == rest.entry == st.AIR
         assert (fiber.exit, rest.exit) == (flat.entry, flat.exit)
-        assert i_gap == len(fiber.layers)
-        if gap > 0:
-            assert flat.layers[i_gap].thickness_nm == gap
-        assert i_membrane is None if mem is None else flat.layers[i_membrane] is mem
+        assert rest.layers[0] is mem if mem is not None else rest.layers == tuple(reversed(fixture_mirror.layers))
 
 
 class TestJsonConfig:
@@ -169,6 +167,17 @@ class TestJsonConfig:
         cfg = st.default_assembly_config()
         cfg["fiber_mirror"] = {"bogus_key": 1}
         with pytest.raises(GeometryError, match="unknown keys"):
+            st.assembly_from_config(cfg)
+
+    def test_unknown_assembly_keys(self):
+        cfg = {**st.default_assembly_config(), "gap2nm": 0.0}
+        with pytest.raises(GeometryError, match=r"assembly config: unknown keys \['gap2nm'\]"):
+            st.assembly_from_config(cfg)
+
+    def test_unknown_membrane_keys(self):
+        cfg = st.default_assembly_config()
+        cfg["membrane"] = {"thickness_nm": 1420.0, "sigma_rms": 3.6}
+        with pytest.raises(GeometryError, match=r"membrane: unknown keys \['sigma_rms'\]"):
             st.assembly_from_config(cfg)
 
     def test_no_membrane(self):
