@@ -129,7 +129,7 @@ def fit_dispersion(
     init = {"t_d_nm": t_d0, "t_g2_nm": t_g20, "gap_offset_nm": off0}
 
     q0 = base.with_membrane(t_d0, t_g20).mode_order(wls, gaps + off0)
-    if np.unique(q0).size < 2:
+    if np.all(q0 == q0[0]):
         raise FitError("degenerate dispersion data: all points share one mode order")
 
     free_gap2 = fix_gap2_nm is None

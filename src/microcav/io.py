@@ -92,14 +92,51 @@ def _read_rows(path: str | Path, n_min: int, n_max: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+# rows of ``columns`` turned into text and written at a time: bounds the
+# strings held in memory, whatever the length of the columns
+_CHUNK_ROWS = 4096
+
+
 def write_csv(path: str | Path, header: list[str], rows=(), *, columns=None) -> None:
-    """A header row, then ``rows`` or the rows of equal-length array ``columns``."""
-    if columns is not None:  # Python scalars write faster than numpy's, to the same text
-        rows = zip(*(np.asarray(c).tolist() for c in columns))
+    """A header row, then ``rows`` or the rows of equal-length 1-D numeric arrays ``columns``.
+
+    Columns are written as ``csv.writer`` writes their ``tolist()`` rows,
+    byte for byte: ``str()`` of each value, comma-separated, ``\\r\\n``-ended.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        if columns is None:
+            w.writerows(rows)
+            return
+        arrays = [np.asarray(c) for c in columns]
+        texts = [_column_text(a) for a in arrays]
+        n = min((a.size for a in arrays), default=0)
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            fh.write("\r\n".join(map(",".join, zip(*(text(start, stop) for text in texts)))))
+            fh.write("\r\n")
+
+
+def _column_text(column: np.ndarray):
+    """A function of (start, stop) listing ``str()`` of each value of column[start:stop].
+
+    A float column with at most _CHUNK_ROWS distinct bit patterns (the gap
+    and wavelength columns of a dispersion map) formats each pattern once,
+    into a table no longer than a chunk, and indexes it; -0.0 and each NaN
+    keep their own text.
+    """
+    if column.ndim != 1 or column.dtype.kind not in "biuf":
+        raise TypeError(f"columns must be 1-D numeric arrays, got {column.dtype} with shape {column.shape}")
+    if column.dtype.kind == "f" and column.itemsize <= 8:
+        bits = column.view(f"u{column.itemsize}")
+        ordered = np.sort(bits)
+        distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+        if distinct.size <= _CHUNK_ROWS:
+            table = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
+            index = np.searchsorted(distinct, bits)
+            return lambda start, stop: table[index[start:stop]].tolist()
+    return lambda start, stop: list(map(str, column[start:stop].tolist()))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

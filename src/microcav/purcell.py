@@ -252,14 +252,24 @@ class LifetimeModel:
     ):
         self.emitter = emitter
         lo, hi = l_eff_range_um
-        # generously bracket the requested L_eff range with a gap sweep
-        gaps = np.linspace(max(200.0, (lo - 5.0) * 1e3), (hi + 6.0) * 1e3, n_points)
-        pts = predict_lifetime_curve(assembly, gaps, emitter, tau0_ns=1.0, eta_qe=0.0, membrane_loss_ppm=membrane_loss_ppm)
-        good = [(p.l_eff_um, p.f_p) for p in pts if not p.flag]
-        if len(good) < 3:
-            raise NoResonanceError("gap sweep produced too few valid points for interpolation")
-        arr = np.asarray(sorted(good))
-        self._l, self._f = arr[:, 0], arr[:, 1]
+
+        def sweep(gap_nm):
+            """(l_eff_um, f_p, gap_nm) rows sorted by L_eff, bracketing the range by gap_nm(L_eff)."""
+            gaps = np.linspace(max(200.0, gap_nm(lo - 5.0)), gap_nm(hi + 6.0), n_points)
+            pts = predict_lifetime_curve(assembly, gaps, emitter, tau0_ns=1.0, eta_qe=0.0, membrane_loss_ppm=membrane_loss_ppm)
+            good = [(p.l_eff_um, p.f_p, p.gap_nm) for p in pts if not p.flag]
+            if len(good) < 3:
+                raise NoResonanceError("gap sweep produced too few valid points for interpolation")
+            return np.asarray(sorted(good))
+
+        # generously bracket the requested L_eff range, taking L_eff for the gap
+        table = sweep(lambda l_um: l_um * 1e3)
+        if lo < table[0, 0] or hi > table[-1, 0]:
+            # L_eff is far from the gap (a membrane on the plane mirror): sweep
+            # again along the gap(L_eff) line through the first sweep's ends
+            (l0, _, g0), (l1, _, g1) = table[0], table[-1]
+            table = sweep(lambda l_um: g0 + (g1 - g0) / (l1 - l0) * (l_um - l0))
+        self._l, self._f = table[:, 0], table[:, 1]
         if lo < self._l[0] or hi > self._l[-1]:
             raise ValueError(
                 f"requested L_eff range [{lo}, {hi}] um outside tabulated [{self._l[0]:.2f}, {self._l[-1]:.2f}] um"

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -140,6 +141,23 @@ class TestPurcellCommand:
     def test_empty_gap_list_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             run(tmp_path, "purcell", "--points", "0")
+
+    def test_fit_lifetime_reads_its_own_table_without_second_gap(self, tmp_path):
+        # with the membrane on the plane mirror L_eff is about half the gap, so a
+        # sweep that takes L_eff for the gap falls short of the table's range
+        cfg = {**st.default_assembly_config(), "gap2_nm": 0.0}
+        (tmp_path / "a.json").write_text(json.dumps(cfg))
+        assert run(tmp_path, "purcell", "--points", "40", "--assembly", str(tmp_path / "a.json")) == 0
+        with open(tmp_path / "purcell.csv", newline="") as fh:
+            rows = [(float(r["l_eff_um"]), float(r["tau_ns"])) for r in csv.DictReader(fh) if not r["flag"]]
+        l_eff, tau = np.array(rows).T
+        assert l_eff.max() > 13.0 and l_eff.max() < 1e-3 * 26_000.0
+        io.write_csv(tmp_path / "lifetimes.csv", ["l_eff_um", "tau_ns", "sigma_ns"], columns=[l_eff, tau, 0.02 * tau])
+        assert run(tmp_path, "fit-lifetime", "--data", str(tmp_path / "lifetimes.csv"),
+                   "--assembly", str(tmp_path / "a.json")) == 0
+        params = json.loads((tmp_path / "fit_lifetime.json").read_text())["fit"]["params"]
+        assert params["tau0_ns"]["value"] == pytest.approx(1.36, abs=1e-3)
+        assert params["eta_qe"]["value"] == pytest.approx(0.51, abs=0.02)
 
 
 class TestErrorPaths:

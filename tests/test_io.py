@@ -3,6 +3,7 @@ write_csv against csv.writer."""
 
 import csv
 import io as stdio
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,3 +199,35 @@ class TestWriteCsvMatchesCsvWriter:
         header = ["gap_nm", "q_gap", "l_eff_um", "w0_um", "v_m_um3", "q_c", "q_eff", "xi", "f_p", "tau_ns", "flag"]
         expected = csv_writer_bytes(header, ([p.to_row()[k] for k in header] for p in points))
         assert (tmp_path / "purcell.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("n", [0, 1, io._CHUNK_ROWS - 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1])
+    def test_edge_columns(self, tmp_path, rng, n):
+        # each repeating column is formatted once per distinct bit pattern;
+        # the all-distinct one, past one chunk, per value
+        columns = {
+            "signed_zeros": np.resize([0.0, -0.0, 2.5], n),
+            "non_finite": np.resize([np.nan, np.inf, -np.inf, -np.nan, 1e-300], n),
+            "sample": np.arange(n),
+            "float32": rng.standard_normal(n).astype(np.float32),
+            "float32_repeating": np.resize(np.float32([0.1, -0.0, 3.0]), n),
+            "distinct": rng.standard_normal(n),
+        }
+        io.write_csv(tmp_path / "edge.csv", list(columns), columns=columns.values())
+        expected = csv_writer_bytes(list(columns), zip(*(c.tolist() for c in columns.values())))
+        assert (tmp_path / "edge.csv").read_bytes() == expected
+
+    def test_non_numeric_column_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="numeric"):
+            io.write_csv(tmp_path / "text.csv", ["a", "b"], columns=[np.arange(2), np.array(["x,y", "z"])])
+
+    def test_peak_memory_of_a_lock_trace(self, tmp_path, rng):
+        # a 131,072-row lock trace: the writer holds one chunk of text at a
+        # time, not every row as Python floats and strings at once
+        time_s, transmission = np.arange(131_072) * 1e-6, rng.random(131_072)
+        tracemalloc.start()
+        try:
+            io.write_csv(tmp_path / "lock.csv", ["time_s", "transmission"], columns=[time_s, transmission])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
