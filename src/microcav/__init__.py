@@ -3,7 +3,7 @@
 Subpackage map:
 
 * :mod:`microcav.stack` - materials, layers, mirrors, cavity assembly
-* :mod:`microcav.tmm` - transfer-matrix solver and per-layer fields
+* :mod:`microcav.tmm` - Airy-step multilayer solver and per-layer fields
 * :mod:`microcav.resonance` - resonances, dispersion maps, effective length
 * :mod:`microcav.dispersion_fit` - membrane thickness / parasitic-gap fit
 * :mod:`microcav.metrics` - mode geometry, loss budgets, finesse, Q

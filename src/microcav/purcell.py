@@ -283,18 +283,17 @@ class LifetimeModel:
         return tau0_ns / (1.0 + eta_qe * self.emitter.debye_waller * fp)
 
 
-def fit_lifetime_model(
-    data,
-    model: LifetimeModel,
-    tau0_init_ns: float | None = None,
-    eta_init: float = 0.5,
-    fix_eta: float | None = None,
-) -> FitResult:
+# eta_QE where the lifetime fit starts
+_ETA_START = 0.5
+
+
+def fit_lifetime_model(data, model: LifetimeModel, fix_eta: float | None = None) -> FitResult:
     """Weighted fit of (tau_0, eta_QE) to lifetime-vs-length data.
 
     ``data`` rows are (l_eff_um, tau_ns, sigma_ns).  Requires at least 3
-    points spanning a factor >= 2 in effective length.  With ``fix_eta``
-    the model reduces to a single-parameter fit of tau_0.
+    points spanning a factor >= 2 in effective length.  The fit starts at
+    the longest measured lifetime and ``_ETA_START``.  With ``fix_eta`` the
+    model reduces to a single-parameter fit of tau_0.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -304,8 +303,7 @@ def fit_lifetime_model(
     l_eff, tau, sig = arr.T
     if np.max(l_eff) / np.min(l_eff) < 2.0:
         raise ValueError("lifetime data must span a factor >= 2 in effective length")
-    if tau0_init_ns is None:
-        tau0_init_ns = float(np.max(tau))
+    tau0_start = float(np.max(tau))
 
     zeta = model.emitter.debye_waller
     fp = model.f_p(l_eff)
@@ -318,7 +316,7 @@ def fit_lifetime_model(
         def jac(x, tau0):
             return (1.0 / (1.0 + fix_eta * zeta * fp))[:, None]
 
-        return lm_fit(f, l_eff, tau, [tau0_init_ns], sigma=sig, bounds=([0.0], [np.inf]),
+        return lm_fit(f, l_eff, tau, [tau0_start], sigma=sig, bounds=([0.0], [np.inf]),
                       jac=jac, names=["tau0_ns"], model_id="lifetime-vs-length(eta fixed)")
 
     def f(x, tau0, eta):
@@ -332,7 +330,7 @@ def fit_lifetime_model(
         f,
         l_eff,
         tau,
-        [tau0_init_ns, eta_init],
+        [tau0_start, _ETA_START],
         sigma=sig,
         bounds=([0.0, 0.0], [np.inf, 1.0]),
         jac=jac,

@@ -3,10 +3,10 @@
 Cut open at the fiber-coating surface, the cavity is two reflectors facing
 the air gap t_g: the fiber mirror, and everything beyond the gap (membrane,
 second gap, plane mirror).  Neither depends on t_g.  The two coatings are
-swept with the TMM once per wavelength grid, and the second gap and the
-membrane are composed in front of the plane coating in closed form by two
-Airy steps (van Dam et al., NJP 20, 115004 (2018); Janitz et al., PRA 92,
-043844 (2015)):
+swept with the TMM (``tmm``'s fold of Airy steps) once per wavelength grid,
+and the second gap and the membrane are composed in front of the plane
+coating by two more of the same steps (van Dam et al., NJP 20, 115004
+(2018); Janitz et al., PRA 92, 043844 (2015)):
 
 * the full-stack transmission, which is what a spectrometer sees, is the
   Airy composition ``t = t1 t2 e^{ik t_g} / (1 - r1 r2 e^{2ik t_g})``;
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import constants
 from .stack import AIR, CavityAssembly, GeometryError, Layer, split_at_gap
-from .tmm import _scale_factors, _wave_amplitudes, amplitude_coefficients
+from .tmm import _airy_step, _phase, _wave_amplitudes, amplitude_coefficients
 
 
 class NoResonanceError(RuntimeError):
@@ -104,24 +104,14 @@ class SplitResponse:
         return self.power_ratio * np.abs(self.t_fiber * self.t_rest) ** 2 / np.abs(1.0 - round_trip) ** 2
 
 
-def _airy_step(n_out: complex, n: complex, d_nm: float, wl, r, t):
-    """(r, t) of a layer (n, d), entered from medium ``n_out``, in front of a reflector (r, t) seen from n.
-
-    The Fresnel interface n_out|n, the layer phase e^{2 pi i n d / lambda} and
-    the multiple reflections between the interface and the reflector.
-    """
-    r_if = (n_out - n) / (n_out + n)
-    phase = np.exp(2j * np.pi * n * d_nm / wl)
-    r_back = r * phase**2
-    denom = 1.0 + r_if * r_back
-    return (r_if + r_back) / denom, (2.0 * n_out / (n_out + n)) * t * phase / denom
-
-
 def _rest_response(assembly: CavityAssembly, wl, r_plane, t_plane):
     """(r, t) beyond the fiber-side gap from the plane coating's, seen from air: the second gap, then the membrane."""
     mem = assembly.membrane
-    r, t = _airy_step(AIR.nc if mem is None else mem.material.nc, AIR.nc, assembly.gap2_nm, wl, r_plane, t_plane)
-    return (r, t) if mem is None else _airy_step(AIR.nc, mem.material.nc, mem.thickness_nm, wl, r, t)
+    n_front = AIR.nc if mem is None else mem.material.nc
+    r, t, _, _ = _airy_step(n_front, AIR.nc, _phase(AIR.nc, assembly.gap2_nm, wl), r_plane, t_plane)
+    if mem is None:
+        return r, t
+    return _airy_step(AIR.nc, n_front, _phase(n_front, mem.thickness_nm, wl), r, t)[:2]
 
 
 def split_response(assembly: CavityAssembly, wavelength_nm) -> SplitResponse:
@@ -248,10 +238,11 @@ class PhaseModel:
         """(wavelengths, bracketed) of mode orders q at gaps ``gap_nm``, broadcast together.
 
         Per row the root lies in the first grid cell of the window where the
-        phase miss changes sign (``_cell_roots``).  A row with no sign change
-        is not ``bracketed``: it takes the window's edge cell nearer in |miss|
-        and continues the phase linearly along that cell, so its root moves
-        smoothly off the window as trial parameters push it out.
+        phase miss changes sign or is zero at a node (``_cell_roots``).  A row
+        with no such cell is not ``bracketed``: it takes the window's edge
+        cell nearer in |miss| and continues the phase linearly along that
+        cell, so its root moves smoothly off the window as trial parameters
+        push it out.
         """
         in_window = slice(None) if window is None else slice(np.searchsorted(self.wl, window[0], side="left"),
                                                              np.searchsorted(self.wl, window[1], side="right"))
@@ -261,7 +252,8 @@ class PhaseModel:
         q, gap = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(gap_nm, dtype=float))
         target = 2.0 * np.pi * (q + 1.0)
         miss = 4.0 * np.pi * gap[..., None] / wl + phi - target[..., None]
-        change = np.diff(np.signbit(miss), axis=-1)
+        # a cell brackets a root where the miss changes sign or is zero at either node
+        change = np.diff(np.signbit(miss), axis=-1) | (miss[..., :-1] == 0.0) | (miss[..., 1:] == 0.0)
         bracketed = change.any(axis=-1)
         edge = np.where(np.abs(miss[..., -1]) < np.abs(miss[..., 0]), wl.size - 2, 0)
         i = np.where(bracketed, change.argmax(axis=-1), edge)
@@ -479,8 +471,8 @@ class StandingWave:
 
     Layers run fiber coating (substrate first), gap, rest; ``i_gap`` and
     ``i_membrane`` (None without a membrane) index them.  At the g-th gap the
-    field in layer j is ``(a[j, g] e^{ik_j z} + b[j, g] e^{-ik_j z})
-    e^{log_scale[j]}``, z from the layer's fiber-side face.
+    field in layer j is ``a[j, g] e^{ik_j z} + b[j, g] e^{-ik_j z}``, z from
+    the layer's fiber-side face, in units of the wave incident from the fiber.
     """
 
     def __init__(self, assembly: CavityAssembly, wavelength_nm: float, gaps_nm):
@@ -495,33 +487,24 @@ class StandingWave:
         self.d = np.repeat(thickness[:, None], self.gaps_nm.size, axis=1)
         self.d[self.i_gap] = self.gaps_nm
 
-        from_substrate, ls_substrate, _, t_s = _wave_amplitudes(fiber.reversed(), wavelength_nm)
-        from_gap, ls_gap, r_f, _ = _wave_amplitudes(fiber, wavelength_nm)
-        beyond, ls_rest, r_rest, t_rest = _wave_amplitudes(rest, wavelength_nm)
-        if t_s == 0.0 or t_rest == 0.0:  # _wave_amplitudes then keeps relative fields only
+        a_substrate, b_substrate, _, t_s = _wave_amplitudes(fiber.reversed(), wavelength_nm)
+        a_from_gap, b_from_gap, r_f, _ = _wave_amplitudes(fiber, wavelength_nm)
+        a_rest, b_rest, r_rest, t_rest = _wave_amplitudes(rest, wavelength_nm)
+        if t_s == 0.0 or t_rest == 0.0:  # an opaque coating passes no light to or from the gap
             raise ValueError(f"a coating is opaque at {wavelength_nm} nm: its transmission underflows")
         round_trip = r_rest * np.exp(2j * self.k[self.i_gap] * self.gaps_nm)
         a = t_s / (1.0 - r_f * round_trip)
         b = round_trip * a
         # the gap-driven coating field, turned to run substrate first: in each layer
-        # a' e^{ik(d - z)} + b' e^{-ik(d - z)} is (b' e^{-ikd}) e^{ikz} + (a' e^{ikd}) e^{-ikz},
-        # with e^{Im kd} moved into the log scale
-        delta = self.k[:self.i_gap] * thickness[:self.i_gap]
-        fwd_gap, back_gap = np.asarray(from_gap)[::-1].T
-        turned = np.column_stack([back_gap * np.exp(-1j * delta.real),
-                                  fwd_gap * np.exp(1j * delta.real - 2.0 * delta.imag)])
-        ls_turned = ls_gap[::-1] + delta.imag
-        ls_coating = np.maximum(ls_substrate, ls_turned)
-        with np.errstate(under="ignore"):
-            w_substrate, w_turned = np.exp(ls_substrate - ls_coating), np.exp(ls_turned - ls_coating)
-        coating = ((np.asarray(from_substrate) * w_substrate[:, None])[..., None]
-                   + (turned * w_turned[:, None])[..., None] * b)
-        beyond = np.asarray(beyond)[..., None] * (a * np.exp(1j * self.k[self.i_gap] * self.gaps_nm))
-        self.a, self.b = np.concatenate([coating, np.stack([a, b])[None], beyond]).transpose(1, 0, 2)
-        self.log_scale = np.concatenate([ls_coating, [0.0], ls_rest])
+        # a' e^{ik(d - z)} + b' e^{-ik(d - z)} is (b' e^{-ikd}) e^{ikz} + (a' e^{ikd}) e^{-ikz}
+        phase = np.exp(1j * self.k[:self.i_gap] * thickness[:self.i_gap])
+        turned_a, turned_b = b_from_gap[::-1] / phase, a_from_gap[::-1] * phase
+        forward = a * np.exp(1j * self.k[self.i_gap] * self.gaps_nm)
+        self.a = np.concatenate([a_substrate[:, None] + turned_a[:, None] * b, a[None], a_rest[:, None] * forward])
+        self.b = np.concatenate([b_substrate[:, None] + turned_b[:, None] * b, b[None], b_rest[:, None] * forward])
 
     def intensity(self, j: int, z_nm):
-        """|a e^{ikz} + b e^{-ikz}|^2 at depth ``z_nm`` into layer j, per gap, in that layer's scale."""
+        """|a e^{ikz} + b e^{-ikz}|^2 at depth ``z_nm`` into layer j, per gap."""
         return np.abs(self.a[j] * np.exp(1j * self.k[j] * z_nm) + self.b[j] * np.exp(-1j * self.k[j] * z_nm)) ** 2
 
     def peak_intensity(self, j: int):
@@ -531,19 +514,13 @@ class StandingWave:
     def effective_length_um(self) -> np.ndarray:
         """2 * integral of n^2 |E|^2 over the stack / its peak in the host layer, in um, per gap.
 
-        The host is the membrane when there is one, else the gap.  Log scales
-        are referenced to the host layer, so strongly absorbing layers do not
-        over/underflow.
+        The host is the membrane when there is one, else the gap.
         """
         if self.i_membrane is None and not np.all(self.gaps_nm > 0):
             raise ValueError("an empty cavity needs a nonzero gap to host the mode")
         j = self.i_gap if self.i_membrane is None else self.i_membrane
-        n2 = self.n[:, None] ** 2
-        energy = n2 * _layer_energy(self.a, self.b, self.k[:, None], self.d)
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            log_terms = (2.0 * (self.log_scale - self.log_scale[j])[:, None] + np.log(np.maximum(energy, 0.0))
-                         - np.log(n2[j] * self.peak_intensity(j)))
-            return 2.0 * np.sum(np.exp(log_terms), axis=0) * 1e-3
+        energy = self.n[:, None] ** 2 * _layer_energy(self.a, self.b, self.k[:, None], self.d)
+        return 2e-3 * np.sum(energy, axis=0) / (self.n[j] ** 2 * self.peak_intensity(j))
 
     def membrane_interface_weight(self) -> np.ndarray:
         """n^2 |E|^2 at the membrane's fiber-facing surface over the peak intracavity n^2 |E|^2, per gap.
@@ -553,11 +530,11 @@ class StandingWave:
         """
         if self.i_membrane is None:
             raise ValueError("assembly has no membrane")
-        f2 = (self.n * _scale_factors(self.log_scale)) ** 2
+        n2 = self.n**2
         j = self.i_membrane
         inner = range(self.i_gap, self.n.size - len(self.assembly.plane_mirror.layers))
-        peak = np.max([f2[i] * self.peak_intensity(i) for i in inner], axis=0)
-        return np.clip(f2[j] * np.abs(self.a[j] + self.b[j]) ** 2 / peak, 0.0, 1.0)
+        peak = np.max([n2[i] * self.peak_intensity(i) for i in inner], axis=0)
+        return np.clip(n2[j] * np.abs(self.a[j] + self.b[j]) ** 2 / peak, 0.0, 1.0)
 
 
 def effective_length(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel | None = None) -> float:

@@ -50,15 +50,15 @@ class ScanPeak:
     fundamental: bool
 
 
-def detect_scan_resonances(
-    trace: ScanTrace,
-    prominence: float = 0.05,
-    fundamental_fraction: float = 0.5,
-) -> list[ScanPeak]:
+# a scan peak at least this fraction of the tallest one is a fundamental mode
+_FUNDAMENTAL_FRACTION = 0.5
+
+
+def detect_scan_resonances(trace: ScanTrace, prominence: float = 0.05) -> list[ScanPeak]:
     """Resonance peaks above a prominence threshold, sorted by position.
 
     ``prominence`` is a fraction of the full trace swing.  Peaks at or
-    above ``fundamental_fraction`` of the tallest peak are flagged as
+    above ``_FUNDAMENTAL_FRACTION`` of the tallest peak are flagged as
     fundamental modes; smaller ones are higher-order transverse modes.
     Returns an empty list when nothing clears the threshold.
     """
@@ -77,7 +77,7 @@ def detect_scan_resonances(
                 height=float(heights[i]),
                 fwhm=float(widths[i]),
                 prominence=float(prominences[i]),
-                fundamental=bool(heights[i] >= fundamental_fraction * top),
+                fundamental=bool(heights[i] >= _FUNDAMENTAL_FRACTION * top),
             )
         )
     return sorted(peaks, key=lambda p: p.position)
@@ -209,17 +209,16 @@ class NoiseSpectrum:
         return float(np.sum(self.asd**2) * df)
 
 
-def noise_spectrum(
-    series_pm,
-    sample_rate_hz: float | None = None,
-    time_s=None,
-    peak_threshold: float = 8.0,
-) -> NoiseSpectrum:
+# a spectral line stands this many times above the median ASD
+_LINE_THRESHOLD = 8.0
+
+
+def noise_spectrum(series_pm, sample_rate_hz: float | None = None, time_s=None) -> NoiseSpectrum:
     """Hann-windowed one-sided ASD of a uniformly sampled series.
 
     Provide either ``sample_rate_hz`` or a uniform ``time_s`` axis
     (non-uniform axes are rejected).  Spectral lines exceeding
-    ``peak_threshold`` times the median ASD are returned in ``peaks``.
+    ``_LINE_THRESHOLD`` times the median ASD are returned in ``peaks``.
     """
     x = np.asarray(series_pm, dtype=float)
     if x.size < 256:
@@ -248,7 +247,7 @@ def noise_spectrum(
     floor = float(np.median(asd))
     peaks = []
     if floor > 0:
-        idx, _, _ = find_peaks(asd, height=peak_threshold * floor)
+        idx, _, _ = find_peaks(asd, height=_LINE_THRESHOLD * floor)
         df = freq[1] - freq[0]
         for i in idx:
             lo, hi = max(i - 3, 0), min(i + 4, psd.size)

@@ -4,7 +4,7 @@ The 1D optical world is an ordered sequence of homogeneous layers between
 two semi-infinite media.  ``CavityAssembly`` describes the full
 mirror / gap / membrane / gap / mirror geometry plus the transverse
 parameters; ``split_at_gap`` cuts it at the fiber-side gap into two plain
-``LayerStack``s, the fiber coating and the rest, for the transfer matrix
+``LayerStack``s, the fiber coating and the rest, for the multilayer
 solver.
 
 All objects are immutable value types; builders are pure functions, so
@@ -67,8 +67,8 @@ class Layer:
     ``rough_top_nm`` is the RMS roughness of the layer's entry-side
     boundary (the interface light crosses first when traversing the stack
     from the entry medium).  For the membrane this is the surface facing
-    the cavity fiber.  Roughness does not alter the coherent transfer
-    matrix; it feeds the scalar scattering-loss estimate in
+    the cavity fiber.  Roughness does not alter the coherent solution;
+    it feeds the scalar scattering-loss estimate in
     :mod:`microcav.metrics`.
     """
 

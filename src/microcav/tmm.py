@@ -1,18 +1,29 @@
-"""1D transfer-matrix solver: complex r/t, power coefficients, per-layer fields.
+"""1D multilayer solver by Airy steps: complex r/t, power coefficients, per-layer fields.
 
-Characteristic-matrix formalism at normal incidence with the
-exp(+ikz - iwt) convention.  For a layer of complex index n and thickness
-d the field-transfer matrix (fields at the entry face in terms of fields
-at the exit face) is::
+Normal incidence with the exp(+ikz - iwt) convention.  A stack is folded
+from its exit medium to its entry medium one layer at a time (Rouard's
+method: P. Rouard, Ann. Phys. (Paris) 7, 291 (1937)).  A layer of complex
+index n and thickness d, entered from a medium n_out, in front of a
+reflector (r, t) seen from inside the layer, is itself a reflector::
 
-    [ cos(delta)          -i sin(delta)/n ]       delta = 2 pi n d / lambda
-    [ -i n sin(delta)      cos(delta)     ]
+    R = r e^{2ikd}            g = tau / (1 + rho R)
+    r' = (rho + R) / (1 + rho R)        t' = g e^{ikd} t
 
-and the stack matrix is the ordered product over layers, entry side first.
-All wavelength arguments accept scalars or arrays (vectorized over
-wavelength).  The stacks solved here are single coatings or the part of the
-cavity beyond the fiber-side gap, never the whole cavity:
-``resonance.split_response`` composes those in closed form, and
+with k = 2 pi n / lambda and rho = (n_out - n) / (n_out + n),
+tau = 2 n_out / (n_out + n) the Fresnel coefficients of the layer's entry
+face.  R is the reflection seen from inside the layer at that face and g
+the forward amplitude that enters the layer per unit forward amplitude
+arriving there.  The exit medium is the first step, a layer of zero
+thickness in front of nothing (r = 0, t = 1).  In a passive stack
+|e^{ikd}| <= 1 and the reflections stay bounded, so no factor grows with
+depth and nothing is rescaled; an opaque layer makes t underflow to 0.
+
+The per-layer field comes from the same fold: forward amplitudes are the
+products a_0 = g_0, a_{j+1} = g_{j+1} a_j e^{ik_j d_j}, backward ones
+b_j = R_j a_j.  All wavelength arguments accept scalars or arrays
+(vectorized over wavelength).  The stacks solved here are single coatings
+or the part of the cavity beyond the fiber-side gap, never the whole
+cavity: ``resonance.split_response`` composes those with the same step, and
 ``resonance.StandingWave`` combines their per-layer amplitudes
 (``_wave_amplitudes``) into the cavity's field.
 """
@@ -69,83 +80,55 @@ class FieldProfile:
         raise KeyError(f"no segment of material {name!r} in profile")
 
 
-# max|m| above which a wavelength point is rescaled; the check is skipped
-# while an a-priori bound on max|m| stays below half of it (rounding headroom)
-_RESCALE_AT = 1e120
-_LOG_SKIP_BELOW = np.log(0.5 * _RESCALE_AT)
+def _phase(n: complex, d_nm: float, wl):
+    """e^{ikd} = e^{2 pi i n d / lambda} of a layer; |e^{ikd}| <= 1 when Im n >= 0."""
+    return np.exp(2j * np.pi * n * d_nm / wl)
 
 
-def _layer_factors(stack: LayerStack, wl: np.ndarray):
-    """Per layer: (cos delta, -i sin delta / n, -i n sin delta, log row-sum bound).
-
-    Layers of equal complex index and thickness share one entry.  The bound
-    holds over all of ``wl``: |cos delta|, |sin delta| <= cosh(Im delta),
-    largest at the shortest wavelength.
-    """
-    lam_min = float(np.min(wl)) if wl.size else 1.0
+def _phases(stack: LayerStack, wl):
+    """e^{ikd} of every layer; layers of equal index and thickness share one array."""
     distinct = {}
     for layer in stack.layers:
-        n, d = layer.material.nc, layer.thickness_nm
-        if (n, d) not in distinct:
-            delta = 2.0 * np.pi * n * d / wl
-            c, s = np.cos(delta), np.sin(delta)
-            x = 2.0 * np.pi * abs(n.imag) * d / lam_min
-            log_cosh = x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
-            distinct[n, d] = (c, -1j * s / n, -1j * n * s, log_cosh + np.log1p(max(abs(n), 1.0 / abs(n))))
-    return [distinct[l.material.nc, l.thickness_nm] for l in stack.layers]
+        key = (layer.material.nc, layer.thickness_nm)
+        if key not in distinct:
+            distinct[key] = _phase(*key, wl)
+    return [distinct[layer.material.nc, layer.thickness_nm] for layer in stack.layers]
 
 
-def _scaled_stack_matrix(stack: LayerStack, wavelength_nm):
-    """Overflow-safe ordered product (entry side first), planar layout.
+def _airy_step(n_out: complex, n: complex, phase, r, t):
+    """A layer (index n, e^{ikd} = ``phase``) entered from medium ``n_out``, in front of a reflector (r, t) seen from n.
 
-    Returns the columns ``[m00, m10]`` and ``[m01, m11]`` of matrix /
-    e^log_scale, each of shape (2,) + wavelength shape, and ``log_scale``.
-    Strongly absorbing layers make entries grow like e^{Im delta}; wherever
-    max|m| exceeds 1e120 after a multiply, that point is divided by it.  r is
-    a ratio of matrix entries and never sees the scale; t recovers it.
+    Returns (r, t) of the layer with the reflector behind it, and the
+    layer's R and g (module docstring).
     """
-    wl = np.asarray(wavelength_nm, dtype=float)
-    factors = _layer_factors(stack, wl.reshape(-1))
-    c, b, g, log_bound = factors[0]
-    left, right = np.array([c, g]), np.array([b, c])
-    log_scale = np.zeros(c.shape)
-    tmp = np.empty_like(left)
-    for c, b, g, log_norm in factors[1:]:
-        # [left right] <- [left right] @ [[c, b], [g, c]]
-        new_right = left * b
-        new_right += np.multiply(right, c, out=tmp)
-        left *= c
-        left += np.multiply(right, g, out=tmp)
-        right = new_right
-        log_bound += log_norm
-        if not log_bound < _LOG_SKIP_BELOW:
-            peak = np.max(np.abs([left, right]), axis=(0, 1))
-            big = peak > _RESCALE_AT
-            if np.any(big):
-                scale = np.where(big, peak, 1.0)
-                left /= scale
-                right /= scale
-                log_scale += np.log(scale)
-                peak = np.where(big, 1.0, peak)
-            # a row sum is at most twice the row's largest entry
-            log_bound = np.log(2.0 * np.max(peak, initial=1.0))
-    shape = (2,) + wl.shape
-    return left.reshape(shape), right.reshape(shape), log_scale.reshape(wl.shape)
+    rho = (n_out - n) / (n_out + n)
+    R = r * phase**2
+    denom = 1.0 + rho * R
+    g = 2.0 * n_out / (n_out + n) / denom
+    return (rho + R) / denom, g * phase * t, R, g
+
+
+def _fold(stack: LayerStack, wl):
+    """Airy steps from the exit face to the entry face; yields (e^{ikd}, R, g, r, t) per step.
+
+    The exit face comes first, then one step per layer, last layer first;
+    (r, t) after a step are those of everything from the step's layer on,
+    so the last yield carries the stack's.
+    """
+    if np.any(np.asarray(wl) <= 0):
+        raise ValueError("wavelength must be > 0")
+    media = [stack.entry.nc, *(layer.material.nc for layer in stack.layers), stack.exit.nc]
+    phases = [*_phases(stack, wl), 1.0]
+    r, t = 0.0, 1.0
+    for j in range(len(stack.layers), -1, -1):
+        r, t, R, g = _airy_step(media[j], media[j + 1], phases[j], r, t)
+        yield phases[j], R, g, r, t
 
 
 def amplitude_coefficients(stack: LayerStack, wavelength_nm):
     """Complex (r, t) for incidence from the entry medium."""
-    if np.any(np.asarray(wavelength_nm) <= 0):
-        raise ValueError("wavelength must be > 0")
-    (m11, m21), (m12, m22), log_scale = _scaled_stack_matrix(stack, wavelength_nm)
-    n0 = stack.entry.nc
-    ns = stack.exit.nc
-    denom = n0 * m11 + n0 * ns * m12 + m21 + ns * m22
-    r = (n0 * m11 + n0 * ns * m12 - m21 - ns * m22) / denom
-    # restore the scale on t; underflow to 0 is the honest answer for
-    # opaque structures
-    with np.errstate(under="ignore"):
-        t = 2.0 * n0 / denom * np.exp(-log_scale)
+    for _, _, _, r, t in _fold(stack, np.asarray(wavelength_nm, dtype=float)):
+        pass
     return r, t
 
 
@@ -158,56 +141,18 @@ def stack_response(stack: LayerStack, wavelength_nm: float) -> StackResponse:
 
 
 def _wave_amplitudes(stack: LayerStack, wavelength_nm: float):
-    """Forward/backward amplitudes per layer, with per-layer log scales.
+    """Forward and backward amplitudes per layer at one wavelength: ``(a, b, r, t)``.
 
-    Returns ``(amps, log_scales, r, t)``.  In layer j the field is
-    ``(a_j exp(ik(z - z_j)) + b_j exp(-ik(z - z_j))) * exp(log_scales[j])``
-    in units of the incident wave (amplitude 1 in the entry medium).
-    Obtained by propagating (t, 0) backwards from the exit medium, which
-    enforces field and derivative continuity at every interface; the
-    explicit scale keeps strongly absorbing layers from over/underflowing.
-    For opaque stacks (t underflows to 0) the overall scale is arbitrary
-    but relative amplitudes stay exact.
+    In layer j the field is ``a[j] exp(ik(z - z_j)) + b[j] exp(-ik(z - z_j))``
+    in units of the incident wave (amplitude 1 in the entry medium), read
+    off the fold as a_0 = g_0, a_{j+1} = g_{j+1} a_j e^{ik_j d_j} and
+    b_j = R_j a_j.  In an opaque stack the layers past the opaque one hold 0.
     """
-    r, t = amplitude_coefficients(stack, wavelength_nm)
-    n_next = stack.exit.nc
-    a, b = complex(t), 0.0 + 0.0j  # amplitudes at the exit-medium boundary
-    ls = 0.0
-    if abs(a) == 0.0:
-        a = 1.0 + 0.0j  # absolute normalization lost; keep relative fields
-    out = []
-    scales = []
-    for layer in reversed(stack.layers):
-        n = layer.material.nc
-        # continuity at the layer's exit boundary
-        a_end = 0.5 * ((1 + n_next / n) * a + (1 - n_next / n) * b)
-        b_end = 0.5 * ((1 - n_next / n) * a + (1 + n_next / n) * b)
-        # translate to the layer's entry boundary; bleed large exponential
-        # growth into the running log scale before it can overflow
-        delta = 2.0 * np.pi * n * layer.thickness_nm / wavelength_nm
-        grow = delta.imag
-        shift = grow if grow > 200.0 else 0.0
-        with np.errstate(under="ignore"):
-            a = a_end * np.exp(-1j * delta.real) * np.exp(grow - shift)
-            b = b_end * np.exp(1j * delta.real) * np.exp(-grow - shift)
-        ls += shift
-        peak = max(abs(a), abs(b))
-        if peak > 1e100 or (0.0 < peak < 1e-100):
-            a, b = a / peak, b / peak
-            ls += np.log(peak)
-        n_next = n
-        out.append((a, b))
-        scales.append(ls)
-    out.reverse()
-    scales.reverse()
-    return out, np.asarray(scales), complex(r), complex(t)
-
-
-def _scale_factors(log_scales: np.ndarray) -> np.ndarray:
-    """Per-layer amplitude factors; absolute units when representable."""
-    ref = np.max(log_scales) if np.max(np.abs(log_scales)) > 600.0 else 0.0
-    with np.errstate(under="ignore"):
-        return np.exp(log_scales - ref)
+    steps = list(_fold(stack, float(wavelength_nm)))[::-1]  # layer 0 first, the exit face last
+    phase, R, g, _, _ = np.array(steps).T
+    a = np.cumprod(g * np.concatenate(([1.0], phase[:-1])))[:-1]
+    _, _, _, r, t = steps[0]
+    return a, R[:-1] * a, complex(r), complex(t)
 
 
 def field_profile(stack: LayerStack, wavelength_nm: float, samples_per_layer: int = 50) -> FieldProfile:
@@ -220,25 +165,20 @@ def field_profile(stack: LayerStack, wavelength_nm: float, samples_per_layer: in
     """
     if samples_per_layer < 2:
         raise ValueError("samples_per_layer must be >= 2")
-    amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
-    factors = _scale_factors(log_scales)
+    a, b, _, t = _wave_amplitudes(stack, wavelength_nm)
     edges = stack.boundaries_nm()
     zs, Es, ns, segs = [], [], [], []
     for j, layer in enumerate(stack.layers):
         k = 2.0 * np.pi * layer.material.nc / wavelength_nm
         dz = np.linspace(0.0, layer.thickness_nm, samples_per_layer, endpoint=False)
-        a, b = amps[j]
         zs.append(edges[j] + dz)
-        Es.append((a * np.exp(1j * k * dz) + b * np.exp(-1j * k * dz)) * factors[j])
+        Es.append(a[j] * np.exp(1j * k * dz) + b[j] * np.exp(-1j * k * dz))
         ns.append(np.full(dz.shape, layer.material.n))
         segs.append((edges[j], edges[j + 1], layer.material.name))
-    # exit surface, evaluated in the last layer
-    last = stack.layers[-1]
-    k = 2.0 * np.pi * last.material.nc / wavelength_nm
-    a, b = amps[-1]
+    # exit surface: by continuity the field there is the transmitted wave
     zs.append(np.array([edges[-1]]))
-    Es.append(np.array([(a * np.exp(1j * k * last.thickness_nm) + b * np.exp(-1j * k * last.thickness_nm)) * factors[-1]]))
-    ns.append(np.array([last.material.n]))
+    Es.append(np.array([t]))
+    ns.append(np.array([stack.layers[-1].material.n]))
 
     z = np.concatenate(zs)
     E = np.concatenate(Es)

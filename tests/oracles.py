@@ -1,15 +1,18 @@
-"""Test oracles: the whole cavity flattened into one stack and solved in one pass.
+"""Test oracles: the kernels and full-stack forms the package replaced, kept to check it against.
 
-The package cuts the cavity open at the fiber-side gap and composes the
-pieces; these are the full-stack forms it replaced, kept to check it
-against:
+The package folds every stack with Airy steps and cuts the cavity open at
+the fiber-side gap; these are independent references:
 
+* ``matrix_coefficients``: r and t from the characteristic-matrix product,
+  rescaled per wavelength point past max|m| = 1e120;
+* ``backward_amplitudes``: per-layer amplitudes by propagating (t, 0)
+  backwards from the exit medium, with per-layer log scales;
 * ``flatten_assembly``: fiber coating, gap, membrane, second gap and plane
   coating as one ``LayerStack``;
-* ``transmission`` of a stack from its planar TMM product;
+* ``transmission`` of a stack from its matrix product;
 * ``interface_mismatch``: the |E| jump across the interior interfaces of a
-  per-layer solution;
-* ``FlatStandingWave``: one ``tmm._wave_amplitudes`` solve of the flattened
+  backward-propagated solution;
+* ``FlatStandingWave``: one backward-propagated solve of the flattened
   cavity at one gap, and L_eff, the emitter overlap and the
   membrane-interface weight read from it layer by layer.
 """
@@ -19,7 +22,137 @@ from __future__ import annotations
 import numpy as np
 
 from microcav.stack import AIR, CavityAssembly, Layer, LayerStack, split_at_gap
-from microcav.tmm import _scale_factors, _wave_amplitudes, amplitude_coefficients
+
+
+# max|m| above which a wavelength point is rescaled; the check is skipped
+# while an a-priori bound on max|m| stays below half of it (rounding headroom)
+_RESCALE_AT = 1e120
+_LOG_SKIP_BELOW = np.log(0.5 * _RESCALE_AT)
+
+
+def _layer_factors(stack: LayerStack, wl: np.ndarray):
+    """Per layer: (cos delta, -i sin delta / n, -i n sin delta, log row-sum bound).
+
+    Layers of equal complex index and thickness share one entry.  The bound
+    holds over all of ``wl``: |cos delta|, |sin delta| <= cosh(Im delta),
+    largest at the shortest wavelength.
+    """
+    lam_min = float(np.min(wl)) if wl.size else 1.0
+    distinct = {}
+    for layer in stack.layers:
+        n, d = layer.material.nc, layer.thickness_nm
+        if (n, d) not in distinct:
+            delta = 2.0 * np.pi * n * d / wl
+            c, s = np.cos(delta), np.sin(delta)
+            x = 2.0 * np.pi * abs(n.imag) * d / lam_min
+            log_cosh = x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
+            distinct[n, d] = (c, -1j * s / n, -1j * n * s, log_cosh + np.log1p(max(abs(n), 1.0 / abs(n))))
+    return [distinct[l.material.nc, l.thickness_nm] for l in stack.layers]
+
+
+def scaled_stack_matrix(stack: LayerStack, wavelength_nm):
+    """Overflow-safe characteristic-matrix product (entry side first), planar layout.
+
+    For a layer of complex index n and thickness d the field-transfer matrix
+    is [[cos delta, -i sin delta / n], [-i n sin delta, cos delta]], delta =
+    2 pi n d / lambda.  Returns the columns ``[m00, m10]`` and ``[m01, m11]``
+    of matrix / e^log_scale, each of shape (2,) + wavelength shape, and
+    ``log_scale``: wherever max|m| exceeds 1e120 after a multiply, that
+    point is divided by it.
+    """
+    wl = np.asarray(wavelength_nm, dtype=float)
+    factors = _layer_factors(stack, wl.reshape(-1))
+    c, b, g, log_bound = factors[0]
+    left, right = np.array([c, g]), np.array([b, c])
+    log_scale = np.zeros(c.shape)
+    tmp = np.empty_like(left)
+    for c, b, g, log_norm in factors[1:]:
+        # [left right] <- [left right] @ [[c, b], [g, c]]
+        new_right = left * b
+        new_right += np.multiply(right, c, out=tmp)
+        left *= c
+        left += np.multiply(right, g, out=tmp)
+        right = new_right
+        log_bound += log_norm
+        if not log_bound < _LOG_SKIP_BELOW:
+            peak = np.max(np.abs([left, right]), axis=(0, 1))
+            big = peak > _RESCALE_AT
+            if np.any(big):
+                scale = np.where(big, peak, 1.0)
+                left /= scale
+                right /= scale
+                log_scale += np.log(scale)
+                peak = np.where(big, 1.0, peak)
+            # a row sum is at most twice the row's largest entry
+            log_bound = np.log(2.0 * np.max(peak, initial=1.0))
+    shape = (2,) + wl.shape
+    return left.reshape(shape), right.reshape(shape), log_scale.reshape(wl.shape)
+
+
+def matrix_coefficients(stack: LayerStack, wavelength_nm):
+    """Complex (r, t) for incidence from the entry medium, from ``scaled_stack_matrix``."""
+    (m11, m21), (m12, m22), log_scale = scaled_stack_matrix(stack, wavelength_nm)
+    n0 = stack.entry.nc
+    ns = stack.exit.nc
+    denom = n0 * m11 + n0 * ns * m12 + m21 + ns * m22
+    r = (n0 * m11 + n0 * ns * m12 - m21 - ns * m22) / denom
+    # restore the scale on t; underflow to 0 is the honest answer for
+    # opaque structures
+    with np.errstate(under="ignore"):
+        t = 2.0 * n0 / denom * np.exp(-log_scale)
+    return r, t
+
+
+def backward_amplitudes(stack: LayerStack, wavelength_nm: float):
+    """Forward/backward amplitudes per layer, with per-layer log scales: ``(amps, log_scales)``.
+
+    In layer j the field is
+    ``(a_j exp(ik(z - z_j)) + b_j exp(-ik(z - z_j))) * exp(log_scales[j])``
+    in units of the incident wave.  Obtained by propagating (t, 0) backwards
+    from the exit medium, which enforces field and derivative continuity at
+    every interface; the explicit scale keeps strongly absorbing layers from
+    over/underflowing.  For opaque stacks (t underflows to 0) the overall
+    scale is arbitrary but relative amplitudes stay exact.
+    """
+    _, t = matrix_coefficients(stack, wavelength_nm)
+    n_next = stack.exit.nc
+    a, b = complex(t), 0.0 + 0.0j  # amplitudes at the exit-medium boundary
+    ls = 0.0
+    if abs(a) == 0.0:
+        a = 1.0 + 0.0j  # absolute normalization lost; keep relative fields
+    out = []
+    scales = []
+    for layer in reversed(stack.layers):
+        n = layer.material.nc
+        # continuity at the layer's exit boundary
+        a_end = 0.5 * ((1 + n_next / n) * a + (1 - n_next / n) * b)
+        b_end = 0.5 * ((1 - n_next / n) * a + (1 + n_next / n) * b)
+        # translate to the layer's entry boundary; bleed large exponential
+        # growth into the running log scale before it can overflow
+        delta = 2.0 * np.pi * n * layer.thickness_nm / wavelength_nm
+        grow = delta.imag
+        shift = grow if grow > 200.0 else 0.0
+        with np.errstate(under="ignore"):
+            a = a_end * np.exp(-1j * delta.real) * np.exp(grow - shift)
+            b = b_end * np.exp(1j * delta.real) * np.exp(-grow - shift)
+        ls += shift
+        peak = max(abs(a), abs(b))
+        if peak > 1e100 or (0.0 < peak < 1e-100):
+            a, b = a / peak, b / peak
+            ls += np.log(peak)
+        n_next = n
+        out.append((a, b))
+        scales.append(ls)
+    out.reverse()
+    scales.reverse()
+    return out, np.asarray(scales)
+
+
+def _scale_factors(log_scales: np.ndarray) -> np.ndarray:
+    """Per-layer amplitude factors; absolute units when representable."""
+    ref = np.max(log_scales) if np.max(np.abs(log_scales)) > 600.0 else 0.0
+    with np.errstate(under="ignore"):
+        return np.exp(log_scales - ref)
 
 
 def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
@@ -37,7 +170,7 @@ def flatten_assembly(assembly: CavityAssembly) -> LayerStack:
 
 def transmission(stack: LayerStack, wavelength_nm):
     """Power transmission T(lambda); vectorized over wavelength."""
-    _, t = amplitude_coefficients(stack, wavelength_nm)
+    _, t = matrix_coefficients(stack, wavelength_nm)
     return stack.exit.nc.real / stack.entry.nc.real * np.abs(t) ** 2
 
 
@@ -48,7 +181,7 @@ def interface_mismatch(stack: LayerStack, wavelength_nm: float) -> float:
     interior boundary; tangential-field continuity makes the true jump
     zero, so this measures only numerical error.
     """
-    amps, log_scales, _, _ = _wave_amplitudes(stack, wavelength_nm)
+    amps, log_scales = backward_amplitudes(stack, wavelength_nm)
     factors = _scale_factors(log_scales)
     worst = 0.0
     for j in range(len(stack.layers) - 1):
@@ -113,7 +246,7 @@ class FlatStandingWave:
         self.assembly = assembly
         self.wavelength_nm = wavelength_nm
         self.stack = flatten_assembly(assembly)
-        self.amps, self.log_scales, _, _ = _wave_amplitudes(self.stack, wavelength_nm)
+        self.amps, self.log_scales = backward_amplitudes(self.stack, wavelength_nm)
         self.i_gap = len(assembly.fiber_mirror.layers)
         self.i_membrane = None if assembly.membrane is None else self.i_gap + (1 if assembly.gap_nm > 0 else 0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -184,9 +185,10 @@ class TestRetuning:
 
 
 def _first_bracket(pm, q, gap_nm, window=None):
-    """Per-point search: the window's grid, its phases, the target and the first sign-change cell.
+    """Per-point search: the window's grid, its phases, the target and the first bracketing cell.
 
-    Raises IndexError when the phase miss keeps one sign over the window.
+    A cell brackets where the phase miss changes sign or is zero at a node.
+    Raises IndexError when the miss keeps one strict sign over the window.
     """
     lo = pm.wl[0] if window is None else max(window[0], pm.wl[0])
     hi = pm.wl[-1] if window is None else min(window[1], pm.wl[-1])
@@ -194,7 +196,8 @@ def _first_bracket(pm, q, gap_nm, window=None):
     wl, phi = pm.wl[sel], pm.phi_mirrors[sel]
     target = 2.0 * np.pi * (q + 1.0)
     miss = 4.0 * np.pi * gap_nm / wl + phi - target
-    return wl, phi, target, int(np.nonzero(np.diff(np.signbit(miss)))[0][0])
+    change = np.diff(np.signbit(miss)) | (miss[:-1] == 0.0) | (miss[1:] == 0.0)
+    return wl, phi, target, int(np.nonzero(change)[0][0])
 
 
 def _brentq_on_interpolant(pm, q, gap_nm, window=None):
@@ -286,6 +289,16 @@ class TestVectorSolve:
         assert np.all((x <= pm.wl[0]) | (x >= pm.wl[-1]))
         miss = 4.0 * np.pi * g / x + pm.phi_mirrors[i] + slope * (x - pm.wl[i]) - 2.0 * np.pi * (q + 1.0)
         assert np.max(np.abs(miss)) < 1e-9
+
+
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_resonance_on_an_edge_node(self, membrane_assembly, edge):
+        # solve_gap puts the phase miss at exactly 0.0 on the grid's first or
+        # last node; a zero there brackets the root as a sign change would
+        pm = PhaseModel(membrane_assembly, 725.0, 740.0)
+        x_edge = pm.wl[edge]
+        assert x_edge == (725.0 if edge == 0 else 740.0)
+        assert pm.solve_wavelength(24, pm.solve_gap(24, x_edge)) == pytest.approx(x_edge, abs=1e-9)
 
 
 class TestPhaseModelReuse:
@@ -522,6 +535,15 @@ class TestStandingWave:
         pm = PhaseModel(membrane_assembly, wl - 10.0, wl + 10.0)
         gaps = [pm.retune_gap(wl, g)[0] for g in np.linspace(1_000.0, 30_000.0, 40)]
         _assert_matches_flat_oracle(membrane_assembly, wl, gaps, depth_fraction=75.0 / 1420.0, angle=0.0)
+
+    def test_opaque_coating_raises(self, membrane_assembly):
+        # a 1 nm layer of n = 1 + 1e5 i passes no light; its reflection stays finite
+        opaque = dataclasses.replace(membrane_assembly, fiber_mirror=st.hard_mirror(kappa=1e5, thickness_nm=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(PhaseModel(opaque, 730.0, 745.0).mag))
+        with pytest.raises(ValueError, match="a coating is opaque"):
+            StandingWave(opaque, 737.0, [10_000.0, 12_000.0])
 
     def test_empty_gap_cannot_host(self, empty_assembly):
         with pytest.raises(ValueError, match="nonzero gap"):
