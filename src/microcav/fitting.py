@@ -109,7 +109,7 @@ def _fd_jacobian(residual, p, r, lo, hi):
     return jac
 
 
-def _levenberg_marquardt(residual, jacobian, p, lo, hi, max_nfev, r_zero, tol=1e-13):
+def _levenberg_marquardt(residual, jacobian, p, lo, hi, max_nfev, r_zero, tol=1e-13, noise=0.0):
     """Bounded Levenberg-Marquardt from ``p``: (p, r, J, nfev, status, zero_residual).
 
     Columns are scaled by the running maximum of their norms (More 1978) and
@@ -118,8 +118,11 @@ def _levenberg_marquardt(residual, jacobian, p, lo, hi, max_nfev, r_zero, tol=1e
     others take the damped Gauss-Newton step from one SVD (reused across
     damping retries), clipped to the box, and the gain ratio is that of the
     clipped step.  ftol holds when both the actual and the predicted
-    reduction fall below ftol * cost (More's rule).  ``nfev`` counts
-    residual evaluations only.
+    reduction fall below tol * cost (More's rule), or when both the |actual|
+    and the predicted one fall below ``noise`` * cost: a step that changes
+    the cost, up or down, by no more than the residual's rounding noise
+    ends the iteration too, at the better of the two points.  ``nfev``
+    counts residual evaluations only.
     """
     r = residual(p)
     if not np.all(np.isfinite(r)):
@@ -152,15 +155,18 @@ def _levenberg_marquardt(residual, jacobian, p, lo, hi, max_nfev, r_zero, tol=1e
             reduction = cost - cost_new if np.isfinite(cost_new) else -np.inf
             rho = reduction / predicted if predicted > 0 else 0.0
             xtol_hit = np.linalg.norm(step) < tol * (tol + np.linalg.norm(p))
+            noise_hit = max(abs(reduction), predicted) < noise * cost
             if reduction > 0:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-                ftol_hit = max(reduction, predicted) < tol * cost
+                ftol_hit = max(reduction, predicted) < tol * cost or noise_hit
                 p, r, cost = p + step, r_new, cost_new
                 jac = jacobian(p, r)
                 if ftol_hit or xtol_hit:
                     return p, r, jac, nfev, 2 if ftol_hit else 3, False
                 break
+            if noise_hit:
+                return p, r, jac, nfev, 2, False
             mu *= nu
             nu *= 2.0
             if xtol_hit:
@@ -180,6 +186,7 @@ def lm_fit(
     names: list[str] | None = None,
     model_id: str = "custom",
     max_nfev: int | None = None,
+    noise: float = 0.0,
 ) -> FitResult:
     """Least-squares fit of ``model(x, *p)`` to ``y``.
 
@@ -203,6 +210,12 @@ def lm_fit(
         model.  Finite differences are used when omitted.
     names : list of str, optional
         Parameter names for the result record (defaults to p0..pN).
+    noise : float
+        Relative rounding noise of the cost, for a model whose residuals
+        carry more of it than the engine's 1e-13 tolerance (an iterative
+        root, say).  A step that changes the cost, up or down, by less than
+        ``noise`` times the cost, with no more predicted, ends the iteration;
+        otherwise the noise would decide its length.
 
     Raises
     ------
@@ -254,7 +267,7 @@ def lm_fit(
 
     r_zero = 1e-10 * np.linalg.norm(y * w if w is not None else y)
     p_fit, r_fit, j_fit, nfev, status, zero_stop = _levenberg_marquardt(
-        residual, jacobian, p0, lo, hi, max_nfev if max_nfev is not None else 5000, r_zero)
+        residual, jacobian, p0, lo, hi, max_nfev if max_nfev is not None else 5000, r_zero, noise=noise)
     cost_fit = 0.5 * r_fit @ r_fit
 
     zero_residual = np.sqrt(2.0 * cost_fit / y.size) < 1e-8

@@ -146,6 +146,10 @@ def _cell_roots(x0, x1, p0, p1, target, gap_nm):
 # anchor for phase unwrapping; any fixed wavelength works, the mirror
 # design wavelength keeps mode orders stable across call sites
 _ANCHOR_NM = constants.MIRROR_CENTER_NM
+# A gap from ``solve_gap`` at a grid node leaves a phase miss of a few ulp of
+# the ~300 rad round trip there, which puts the root up to ~1e-13 nm (1e-16
+# of lambda) to either side of the node; 1e-12 of lambda covers that
+_EDGE_ROUNDING = 1e-12
 
 
 class PhaseModel:
@@ -239,10 +243,12 @@ class PhaseModel:
 
         Per row the root lies in the first grid cell of the window where the
         phase miss changes sign or is zero at a node (``_cell_roots``).  A row
-        with no such cell is not ``bracketed``: it takes the window's edge
-        cell nearer in |miss| and continues the phase linearly along that
-        cell, so its root moves smoothly off the window as trial parameters
-        push it out.
+        with no such cell takes the window's edge cell nearer in |miss| and
+        continues the phase linearly along that cell, so its root moves
+        smoothly off the window as trial parameters push it out.  Such a root
+        within ``_EDGE_ROUNDING`` (relative) of the window's edge is rounding
+        of a root on the edge node: it is ``bracketed`` and clamped to the
+        edge.  Any other is not ``bracketed``.
         """
         in_window = slice(None) if window is None else slice(np.searchsorted(self.wl, window[0], side="left"),
                                                              np.searchsorted(self.wl, window[1], side="right"))
@@ -257,7 +263,9 @@ class PhaseModel:
         bracketed = change.any(axis=-1)
         edge = np.where(np.abs(miss[..., -1]) < np.abs(miss[..., 0]), wl.size - 2, 0)
         i = np.where(bracketed, change.argmax(axis=-1), edge)
-        return _cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], target, gap), bracketed
+        root = _cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], target, gap)
+        on_edge = ~bracketed & (np.minimum(np.abs(root - wl[0]), np.abs(root - wl[-1])) <= _EDGE_ROUNDING * wl[-1])
+        return np.where(on_edge, np.clip(root, wl[0], wl[-1]), root), bracketed | on_edge
 
     def solve_wavelength(self, q: int, gap_nm: float, window: tuple[float, float] | None = None) -> float:
         """Resonance wavelength of mode order q at a given gap (``solve_wavelengths``).
