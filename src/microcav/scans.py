@@ -23,6 +23,21 @@ import numpy as np
 from .peaks import find_peaks
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1D float array, bit for bit, NaN included.
+
+    ``np.median`` tests its largest element for NaN through ``numpy.ma``,
+    whose import costs about 0.015 s of a fresh interpreter.  This takes the
+    same ``np.partition`` and the same ``mean`` of the middle element(s).
+    """
+    n = x.size
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(x, [*middle, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[middle[0]:middle[-1] + 1]))
+
+
 @dataclass(frozen=True)
 class ScanTrace:
     """Uniformly sampled cavity-length scan, detector units."""
@@ -161,7 +176,7 @@ def length_deviation(trace: LockTrace) -> LengthDeviation:
     """
     dl = trace.linewidth_pm()
     s = trace.setpoint_fraction
-    t_max = float(np.median(trace.transmission)) / s
+    t_max = _median(trace.transmission) / s
     delta_set = 0.5 * dl * np.sqrt(1.0 / s - 1.0)
     y = trace.transmission
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,7 +259,7 @@ def noise_spectrum(series_pm, sample_rate_hz: float | None = None, time_s=None) 
     freq = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
     asd = np.sqrt(psd)
 
-    floor = float(np.median(asd))
+    floor = _median(asd)
     peaks = []
     if floor > 0:
         idx, _, _ = find_peaks(asd, height=_LINE_THRESHOLD * floor)

@@ -264,11 +264,48 @@ class TestEmptyCavityPurcell:
         assert not (tmp_path / "purcell.csv").exists()
 
 
-def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new Python process that imports microcav from this source tree."""
+def _fresh_interpreter(code: str, *args: str, **env: str | None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new Python process that imports microcav from this source tree.
+
+    Keyword arguments set environment variables, or remove them when None.
+    """
     src = str(Path(microcav.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in env.items() if v is not None}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+_NO_PROC = not os.path.isdir("/proc/self/task")
+
+
+class TestStartUp:
+    # the variables OpenBLAS reads for its thread count, all unset
+    NO_BLAS_THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    # prints the process's thread count after importing the CLI
+    COUNT_THREADS = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import microcav.cli\n"
+        "assert dict(os.environ) == before, 'import microcav.cli changed os.environ'\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+
+    @pytest.mark.skipif(_NO_PROC, reason="needs /proc/self/task")
+    def test_cli_loads_blas_on_one_thread(self):
+        proc = _fresh_interpreter(self.COUNT_THREADS, **self.NO_BLAS_THREADS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
+    @pytest.mark.skipif(_NO_PROC or (os.cpu_count() or 1) < 2, reason="needs /proc/self/task and 2 CPUs")
+    @pytest.mark.parametrize("name", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+    def test_user_thread_count_is_kept(self, name):
+        proc = _fresh_interpreter(self.COUNT_THREADS, **{**self.NO_BLAS_THREADS, name: "2"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2"]
+
+    def test_package_import_loads_no_numpy(self):
+        proc = _fresh_interpreter("import sys, microcav\nassert 'numpy' not in sys.modules, 'import microcav loaded numpy'\n")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestScipyFreeSolverPath:

@@ -175,3 +175,22 @@ class TestLockSynthesis:
         cfg = LockSynthConfig(sigma_locked_pm=1.0, suppression_edge_hz=30.0)
         with pytest.raises(ValueError, match="unreachable"):
             scans.synthesize_length_noise(cfg, seed=1)
+
+
+class TestMedian:
+    def test_matches_numpy_median_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        hst = hypothesis.strategies
+        # repeated values, signed zeros and NaN mixed in with arbitrary floats
+        values = hst.one_of(hst.floats(), hst.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]))
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+        @hypothesis.given(hst.lists(values, min_size=1, max_size=41))
+        def check(xs):
+            x = np.array(xs)
+            with np.errstate(all="ignore"):  # the mean of two huge values overflows in both
+                expected = np.median(x)
+                got = scans._median(x)
+            assert np.float64(got).tobytes() == expected.tobytes(), (got, expected)
+
+        check()
