@@ -4,6 +4,7 @@ Subpackage map:
 
 * :mod:`microcav.stack` - materials, layers, mirrors, cavity assembly
 * :mod:`microcav.tmm` - Airy-step multilayer solver and per-layer fields
+* :mod:`microcav.phase` - the round-trip phase model, any membrane from one coating sweep
 * :mod:`microcav.resonance` - resonances, dispersion maps, effective length
 * :mod:`microcav.dispersion_fit` - membrane thickness / parasitic-gap fit
 * :mod:`microcav.metrics` - mode geometry, loss budgets, finesse, Q

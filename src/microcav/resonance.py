@@ -3,24 +3,22 @@
 Cut open at the fiber-coating surface, the cavity is two reflectors facing
 the air gap t_g: the fiber mirror, and everything beyond the gap (membrane,
 second gap, plane mirror).  Neither depends on t_g.  The two coatings are
-swept with the TMM (``tmm``'s fold of Airy steps) once per wavelength grid,
-and the second gap and the membrane are composed in front of the plane
-coating by two more of the same steps (van Dam et al., NJP 20, 115004
-(2018); Janitz et al., PRA 92, 043844 (2015)):
+swept with the TMM (``tmm``'s fold of Airy steps), and the second gap and
+the membrane are composed in front of the plane coating by two more of the
+same steps (van Dam et al., NJP 20, 115004 (2018); Janitz et al., PRA 92,
+043844 (2015)):
 
 * the full-stack transmission, which is what a spectrometer sees, is the
   Airy composition ``t = t1 t2 e^{ik t_g} / (1 - r1 r2 e^{2ik t_g})``;
   ``dispersion_map`` broadcasts it over a gap x wavelength grid;
-* ``PhaseModel`` caches, from the two reflections, the round-trip phase
-  ``Phi = 4 pi t_g / lambda + arg r1(lambda) + arg r2(lambda)``, and a mode of
-  order q resonates where ``Phi = 2 pi (q + 1)``.  The mirror phases are
-  unwrapped continuously in wavelength and anchored to their principal
-  values at the mirror design wavelength, so mode orders are reproducible
-  across calls for a given geometry;
+* ``PhaseModel`` (``microcav.phase``) is the one model of the round-trip
+  phase ``Phi = 4 pi t_g / lambda + arg r1(lambda) + arg r2(lambda)``; a
+  mode of order q resonates where ``Phi = 2 pi (q + 1)``;
 * ``find_resonances`` solves that condition for every order in the window
-  and every gap at once, then moves each root to the transmission maximum
-  next to it (a three-point parabola on log T), so a resonance is a
-  transmission maximum labelled by its root's order;
+  and every gap at once, by a sign scan over the nodes and Newton steps,
+  then moves each root to the transmission maximum next to it (a
+  three-point parabola on log T), so a resonance is a transmission maximum
+  labelled by its root's order;
 * ``StandingWave`` builds the field at every gap of a sweep from three
   per-layer solves of the same two halves (the fiber coating driven from
   either side, the rest driven from the gap), joined through the gap's
@@ -33,25 +31,20 @@ lambda_q = 2 L / q exactly.  Labels increment by exactly 1 between
 adjacent fundamental resonances.
 
 Air-like vs diamond-like classification compares |d lambda / d t_g|, the
-implicit slope -(dPhi/dt_g) / (dPhi/dlambda) on the cached phase, with the
-slope lambda/t_g of an empty cavity whose whole length is the gap: above
-60% of it -> air-like, below 25% -> diamond-like, else mixed.
+implicit slope -(dPhi/dt_g) / (dPhi/dlambda), with the slope lambda/t_g of
+an empty cavity whose whole length is the gap: above 60% of it ->
+air-like, below 25% -> diamond-like, else mixed.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import constants
+from .phase import NoResonanceError, PhaseModel, _rest_steps
 from .stack import AIR, CavityAssembly, GeometryError, Layer, split_at_gap
-from .tmm import _airy_step, _phase, _wave_amplitudes, amplitude_coefficients
-
-
-class NoResonanceError(RuntimeError):
-    """No resonance exists in the requested window."""
+from .tmm import _wave_amplitudes, amplitude_coefficients
 
 
 class OffResonanceError(RuntimeError):
@@ -68,12 +61,7 @@ class ResonancePoint:
     character: str  # "air-like" | "diamond-like" | "mixed"
 
     def to_dict(self) -> dict:
-        return {
-            "gap_nm": self.gap_nm,
-            "wavelength_nm": self.wavelength_nm,
-            "q_gap": self.q_gap,
-            "character": self.character,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,16 +92,6 @@ class SplitResponse:
         return self.power_ratio * np.abs(self.t_fiber * self.t_rest) ** 2 / np.abs(1.0 - round_trip) ** 2
 
 
-def _rest_response(assembly: CavityAssembly, wl, r_plane, t_plane):
-    """(r, t) beyond the fiber-side gap from the plane coating's, seen from air: the second gap, then the membrane."""
-    mem = assembly.membrane
-    n_front = AIR.nc if mem is None else mem.material.nc
-    r, t, _, _ = _airy_step(n_front, AIR.nc, _phase(AIR.nc, assembly.gap2_nm, wl), r_plane, t_plane)
-    if mem is None:
-        return r, t
-    return _airy_step(AIR.nc, n_front, _phase(n_front, mem.thickness_nm, wl), r, t)[:2]
-
-
 def split_response(assembly: CavityAssembly, wavelength_nm) -> SplitResponse:
     """r and t of the fiber coating and of the rest of the stack, seen from the gap."""
     wl = np.asarray(wavelength_nm, dtype=float)
@@ -122,196 +100,10 @@ def split_response(assembly: CavityAssembly, wavelength_nm) -> SplitResponse:
     # reciprocity: from its substrate the coating transmits n_sub / n_gap
     # times the amplitude it transmits from the gap
     t_fiber = t_gap_side * (fiber.exit.nc / fiber.entry.nc)
-    r_rest, t_rest = _rest_response(assembly, wl, *amplitude_coefficients(plane, wl))
+    n_front = AIR.nc if assembly.membrane is None else assembly.membrane.material.nc
+    r_rest, t_rest, _, _ = _rest_steps(n_front, assembly.membrane_thickness_nm, assembly.gap2_nm, wl,
+                                       *amplitude_coefficients(plane, wl))[1]
     return SplitResponse(wl, r_fiber, t_fiber, r_rest, t_rest, plane.exit.nc.real / fiber.exit.nc.real)
-
-
-def _cell_roots(x0, x1, p0, p1, target, gap_nm):
-    """Root inside [x0, x1] of 4 pi gap / x + p(x) = target, p linear on the cell.
-
-    With p = p0 + s (x - x0), x * miss = s x^2 + (p0 - s x0 - target) x + 4 pi gap;
-    of the two roots of its cancellation-free form the one nearer the cell's
-    middle is taken.  Vectorized over every argument.
-    """
-    s = (p1 - p0) / (x1 - x0)
-    b, c = p0 - s * x0 - target, 4.0 * np.pi * gap_nm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * s * c, 0.0)), b))
-        mid = 0.5 * (x0 + x1)
-        near, far = h / s, c / h
-        root = np.where(np.abs(near - mid) <= np.abs(far - mid), near, far)
-        return np.where(s == 0.0, -c / b, root)
-
-
-# anchor for phase unwrapping; any fixed wavelength works, the mirror
-# design wavelength keeps mode orders stable across call sites
-_ANCHOR_NM = constants.MIRROR_CENTER_NM
-# A gap from ``solve_gap`` at a grid node leaves a phase miss of a few ulp of
-# the ~300 rad round trip there, which puts the root up to ~1e-13 nm (1e-16
-# of lambda) to either side of the node; 1e-12 of lambda covers that
-_EDGE_ROUNDING = 1e-12
-
-
-class PhaseModel:
-    """Cached mirror reflections and unwrapped phases for one geometry over one window.
-
-    All resonance solving reduces to interpolation on two dense phase
-    grids, so repeated solves (dispersion fits, lifetime curves) stay
-    cheap.  The gap itself enters analytically and is not part of the
-    cache, so one model serves every gap value.  A build sweeps the two
-    coatings with the TMM on the grid and keeps their responses; the membrane
-    and second gap are composed in closed form, so ``with_membrane`` swaps
-    them without a TMM sweep.
-    """
-
-    def __init__(self, assembly: CavityAssembly, wl_min_nm: float, wl_max_nm: float, step_nm: float = 0.02):
-        lo = min(wl_min_nm, _ANCHOR_NM - 2.0)
-        hi = max(wl_max_nm, _ANCHOR_NM + 2.0)
-        n = int(np.ceil((hi - lo) / step_nm)) + 1
-        self.wl = np.linspace(lo, hi, n)
-        self.r_fiber, _ = amplitude_coefficients(assembly.fiber_mirror.as_stack(AIR), self.wl)
-        self._phi_fiber = self._anchored_unwrap(self.r_fiber)
-        self._plane = amplitude_coefficients(assembly.plane_mirror.as_stack(AIR), self.wl)
-        self._compose(assembly)
-
-    def _compose(self, assembly: CavityAssembly) -> None:
-        self.assembly = assembly
-        r_rest, _ = _rest_response(assembly, self.wl, *self._plane)
-        self.mag = np.abs(self.r_fiber) * np.abs(r_rest)
-        self.phi_mirrors = self._phi_fiber + self._anchored_unwrap(r_rest)
-
-    def with_membrane(self, t_d_nm: float, t_g2_nm: float) -> PhaseModel:
-        """This model with membrane thickness t_d (the implant depth clamped to it) and second gap t_g2; no TMM."""
-        asm = self.assembly
-        if asm.membrane is None:
-            raise ValueError("the assembly has no membrane to set t_d and t_g2 of")
-        model = copy.copy(self)
-        model._compose(replace(asm, membrane=replace(asm.membrane, thickness_nm=t_d_nm), gap2_nm=t_g2_nm,
-                               implant_depth_nm=min(asm.implant_depth_nm, t_d_nm)))
-        return model
-
-    def _anchored_unwrap(self, r: np.ndarray) -> np.ndarray:
-        phi = np.unwrap(np.angle(r))
-        i0 = int(np.argmin(np.abs(self.wl - _ANCHOR_NM)))
-        # anchor to the principal value in [0, 2pi): mirrors reflecting with
-        # phase ~pi must not flip to ~-pi, or mode orders would shift by 2
-        principal = np.angle(r[i0]) % (2.0 * np.pi)
-        return phi + 2.0 * np.pi * np.round((principal - phi[i0]) / (2.0 * np.pi))
-
-    # -- continuous quantities ------------------------------------------------
-
-    def mirror_phase(self, wl_nm):
-        return np.interp(wl_nm, self.wl, self.phi_mirrors)
-
-    def round_trip_phase(self, wl_nm, gap_nm: float):
-        return 4.0 * np.pi * gap_nm / np.asarray(wl_nm, dtype=float) + self.mirror_phase(wl_nm)
-
-    def mode_order(self, wl_nm, gap_nm):
-        """Mode order q = round(Phi / 2pi) - 1 through (wl, gap); vectorized."""
-        return np.round(self.round_trip_phase(wl_nm, gap_nm) / (2.0 * np.pi) - 1.0).astype(int)
-
-    def group_length_nm(self, wl_nm):
-        """Optical length of everything except the gap, (dphi/dk) / 2."""
-        k = 2.0 * np.pi / self.wl
-        dphi_dk = np.gradient(self.phi_mirrors, k)
-        return np.interp(wl_nm, self.wl, 0.5 * dphi_dk)
-
-    def linewidth_nm(self, wl_nm, gap_nm):
-        """Airy FWHM estimate from the round-trip amplitude |r_L r_R|; vectorized."""
-        rho = np.minimum(np.interp(wl_nm, self.wl, self.mag), 1.0 - 1e-12)
-        finesse = np.pi * np.sqrt(rho) / (1.0 - rho)
-        l_opt = gap_nm + self.group_length_nm(wl_nm)
-        fsr = wl_nm**2 / (2.0 * l_opt)
-        return fsr / finesse
-
-    def tuning_slope(self, wl_nm, gap_nm):
-        """d lambda / d t_g of the resonance through (wl, gap); vectorized.
-
-        Implicit differentiation of Phi(lambda, t_g) = 2 pi (q + 1):
-        -(dPhi/dt_g) / (dPhi/dlambda), with dPhi/dt_g = 4 pi / lambda and the
-        mirror phase's slope taken on the grid cell that holds lambda.
-        """
-        wl = np.asarray(wl_nm, dtype=float)
-        i = np.clip(np.searchsorted(self.wl, wl, side="right") - 1, 0, self.wl.size - 2)
-        dphi = (self.phi_mirrors[i + 1] - self.phi_mirrors[i]) / (self.wl[i + 1] - self.wl[i])
-        return -(4.0 * np.pi / wl) / (dphi - 4.0 * np.pi * gap_nm / wl**2)
-
-    # -- solving --------------------------------------------------------------
-
-    def solve_wavelengths(self, q, gap_nm, window: tuple[float, float] | None = None):
-        """(wavelengths, bracketed) of mode orders q at gaps ``gap_nm``, broadcast together.
-
-        Per row the root lies in the first grid cell of the window where the
-        phase miss changes sign or is zero at a node (``_cell_roots``).  A row
-        with no such cell takes the window's edge cell nearer in |miss| and
-        continues the phase linearly along that cell, so its root moves
-        smoothly off the window as trial parameters push it out.  Such a root
-        within ``_EDGE_ROUNDING`` (relative) of the window's edge is rounding
-        of a root on the edge node: it is ``bracketed`` and clamped to the
-        edge.  Any other is not ``bracketed``.
-        """
-        in_window = slice(None) if window is None else slice(np.searchsorted(self.wl, window[0], side="left"),
-                                                             np.searchsorted(self.wl, window[1], side="right"))
-        wl, phi = self.wl[in_window], self.phi_mirrors[in_window]
-        if wl.size < 2:
-            raise NoResonanceError("window outside the cached phase grid")
-        q, gap = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(gap_nm, dtype=float))
-        target = 2.0 * np.pi * (q + 1.0)
-        miss = 4.0 * np.pi * gap[..., None] / wl + phi - target[..., None]
-        # a cell brackets a root where the miss changes sign or is zero at either node
-        change = np.diff(np.signbit(miss), axis=-1) | (miss[..., :-1] == 0.0) | (miss[..., 1:] == 0.0)
-        bracketed = change.any(axis=-1)
-        edge = np.where(np.abs(miss[..., -1]) < np.abs(miss[..., 0]), wl.size - 2, 0)
-        i = np.where(bracketed, change.argmax(axis=-1), edge)
-        root = _cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], target, gap)
-        on_edge = ~bracketed & (np.minimum(np.abs(root - wl[0]), np.abs(root - wl[-1])) <= _EDGE_ROUNDING * wl[-1])
-        return np.where(on_edge, np.clip(root, wl[0], wl[-1]), root), bracketed | on_edge
-
-    def solve_wavelength(self, q: int, gap_nm: float, window: tuple[float, float] | None = None) -> float:
-        """Resonance wavelength of mode order q at a given gap (``solve_wavelengths``).
-
-        Raises NoResonanceError if the mode misses the window.
-        """
-        root, bracketed = self.solve_wavelengths(q, gap_nm, window)
-        if not bracketed:
-            lo = self.wl[0] if window is None else max(window[0], self.wl[0])
-            hi = self.wl[-1] if window is None else min(window[1], self.wl[-1])
-            raise NoResonanceError(f"mode q={q} has no resonance in [{lo:.2f}, {hi:.2f}] nm at gap {gap_nm:.1f} nm")
-        return float(root)
-
-    def solve_gap(self, q: int, wl_nm: float) -> float:
-        """Gap putting mode order q on resonance at a given wavelength."""
-        gap = (2.0 * np.pi * (q + 1.0) - self.mirror_phase(wl_nm)) * wl_nm / (4.0 * np.pi)
-        return float(gap)
-
-    def retune_gap(self, wl_nm: float, target_gap_nm: float) -> tuple[float, int]:
-        """(gap, q) of the resonance at wl nearest to a target gap."""
-        q_float = self.round_trip_phase(wl_nm, target_gap_nm) / (2.0 * np.pi) - 1.0
-        best = None
-        for q in (int(np.floor(q_float)), int(np.ceil(q_float))):
-            gap = self.solve_gap(q, wl_nm)
-            if gap <= 0:
-                continue
-            if best is None or abs(gap - target_gap_nm) < abs(best[0] - target_gap_nm):
-                best = (gap, q)
-        if best is None:
-            raise NoResonanceError(f"no positive gap puts {wl_nm} nm on resonance near {target_gap_nm} nm")
-        return best
-
-    def nearest_resonance(self, wl_nm: float, gap_nm: float) -> tuple[float, int]:
-        """(wavelength, q) of the resonance closest to wl at this gap."""
-        q_float = self.round_trip_phase(wl_nm, gap_nm) / (2.0 * np.pi) - 1.0
-        best = None
-        for q in (int(np.floor(q_float)), int(np.ceil(q_float))):
-            try:
-                w = self.solve_wavelength(q, gap_nm)
-            except NoResonanceError:
-                continue
-            if best is None or abs(w - wl_nm) < abs(best[0] - wl_nm):
-                best = (w, q)
-        if best is None:
-            raise NoResonanceError(f"no resonance near {wl_nm} nm at gap {gap_nm} nm")
-        return best
 
 
 def classify_character(pm: PhaseModel, gap_nm, wl_nm) -> np.ndarray:
@@ -331,14 +123,10 @@ def find_resonances(
 ) -> list[ResonancePoint]:
     """All transmission maxima in the window, for one gap or an array of gaps.
 
-    One PhaseModel serves every gap.  On each cell of its phase grid, every
-    integer q between the cell's two values of Phi/2pi - 1 has a root of the
-    phase condition there (``_cell_roots``).  Each root is moved to the
-    transmission maximum by a parabola on log T at +-linewidth/60, T from the
-    split response, and labelled with its order q and its character.  A
-    resonance whose T at the root is below ``rel_prominence`` times the
-    largest T among its gap's resonances is dropped.  The list runs in
-    order of gap, then wavelength.
+    One PhaseModel serves every gap.  Every integer q between the two values
+    of Phi/2pi - 1 at the ends of a node cell (cut in two where Phi turns) has
+    a root there, which Newton solves from the cell's secant and
+    ``_transmission_maxima`` moves to the transmission maximum.
     """
     lo, hi = wavelength_window
     if not hi > lo:
@@ -348,21 +136,48 @@ def find_resonances(
         raise GeometryError("gaps must be >= 0")
     pm = PhaseModel(assembly, lo - 5.0, hi + 5.0)
 
-    # the grid cells that overlap the window, and Phi/2pi - 1 at their ends
+    # the node cells that overlap the window, as (gap, ends, Phi/2pi - 1 at the ends)
     i0 = max(int(np.searchsorted(pm.wl, lo, side="right")) - 1, 0)
     i1 = min(int(np.searchsorted(pm.wl, hi, side="left")), pm.wl.size - 1)
-    x, phi = pm.wl[i0:i1 + 1], pm.phi_mirrors[i0:i1 + 1]
-    order = (4.0 * np.pi * gaps[:, None] / x + phi) / (2.0 * np.pi) - 1.0
-    q_first = np.ceil(np.minimum(order[:, :-1], order[:, 1:]))
-    count = (np.ceil(np.maximum(order[:, :-1], order[:, 1:])) - q_first).astype(int)
-    g_idx, cell = np.nonzero(count > 0)
-    n = count[g_idx, cell]
-    # a cell holds more than one order only on a grid coarser than the FSR
-    q = np.repeat(q_first[g_idx, cell], n) + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    g_idx, cell = np.repeat(g_idx, n), np.repeat(cell, n)
-    gap = gaps[g_idx]
-    root = _cell_roots(x[cell], x[cell + 1], phi[cell], phi[cell + 1], 2.0 * np.pi * (q + 1.0), gap)
+    x = pm.wl[i0:i1 + 1]
+    phi, dphi = pm.phase(x)[:2]
+    order = (4.0 * np.pi * gaps[:, None] / x + phi + 2.0 * np.pi * pm.turns) / (2.0 * np.pi) - 1.0
+    rate = dphi - 4.0 * np.pi * gaps[:, None] / x**2
+    g_idx, cell = np.divmod(np.arange(order.size - gaps.size), x.size - 1)
+    a, b, oa, ob = x[cell], x[cell + 1], order[:, :-1].ravel(), order[:, 1:].ravel()
+    # where Phi turns inside a cell, one order may cross it twice: the cell is cut
+    # in two at the turn, found by a secant on dPhi/dlambda
+    t = np.flatnonzero(np.signbit(rate[:, :-1]) != np.signbit(rate[:, 1:]))
+    r0, r1 = rate[:, :-1].ravel()[t], rate[:, 1:].ravel()[t]
+    cut = a[t] + (b[t] - a[t]) * r0 / (r0 - r1)
+    o_cut = pm.round_trip_phase(cut, gaps[g_idx[t]]) / (2.0 * np.pi) - 1.0
+    g_idx, a, oa, b, ob = (np.append(v, extra) for v, extra in
+                           ((g_idx, g_idx[t]), (a, cut), (oa, o_cut), (b, b[t]), (ob, ob[t])))
+    b[t], ob[t] = cut, o_cut
 
+    q_first = np.ceil(np.minimum(oa, ob))
+    count = (np.ceil(np.maximum(oa, ob)) - q_first).astype(int)
+    seg = np.flatnonzero(count > 0)
+    n = count[seg]
+    # a cell holds more than one order only on a grid coarser than the FSR
+    q = np.repeat(q_first[seg], n) + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    seg = np.repeat(seg, n)
+    g_idx, a, b, oa, ob = g_idx[seg], a[seg], b[seg], oa[seg], ob[seg]
+    root = pm.newton(q - pm.turns, gaps[g_idx], a + (b - a) * (oa - q) / (oa - ob), a, b)
+    return _transmission_maxima(assembly, pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)
+
+
+def _transmission_maxima(assembly: CavityAssembly, pm, gaps, g_idx, q, root, wavelength_window,
+                        rel_prominence: float) -> list[ResonancePoint]:
+    """Roots of orders q at ``gaps[g_idx]``, moved to the transmission maxima and labelled with q and their character.
+
+    Each root moves by a parabola on log T at +-linewidth/60 (the linewidth
+    and tuning slope from ``pm``).  A resonance outside the window, or whose T
+    at the root is below ``rel_prominence`` times the largest T at its gap,
+    is dropped.  The list runs in order of gap, then wavelength.
+    """
+    lo, hi = wavelength_window
+    gap = gaps[g_idx]
     # three-point parabola on log T around each root.  Its bias from the
     # peak's asymmetry grows as h^2: on a broad mode 50 nm from the coating's
     # design wavelength it is 6e-6 nm at +-linewidth/6, 6e-8 nm at /60
@@ -545,7 +360,7 @@ class StandingWave:
         return np.clip(n2[j] * np.abs(self.a[j] + self.b[j]) ** 2 / peak, 0.0, 1.0)
 
 
-def effective_length(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseModel | None = None) -> float:
+def effective_length(assembly: CavityAssembly, wavelength_nm: float) -> float:
     """Energy-weighted effective cavity length in um, at a resonant wavelength.
 
     L_eff = 2 * integral of n^2 |E|^2 over the stack (mirror penetration
@@ -553,11 +368,9 @@ def effective_length(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseMo
     (the membrane when present, else the gap).  The factor 2 makes an
     ideal hard-mirror empty cavity come out at its geometric length.
     Farther than half a cavity linewidth from a resonance the standing-wave
-    normalization is ill-defined, and OffResonanceError is raised.  ``pm``,
-    a PhaseModel of the same assembly at any gap, saves building one; the
-    result does not change.
+    normalization is ill-defined, and OffResonanceError is raised.
     """
-    pm = pm if pm is not None else PhaseModel(assembly, wavelength_nm - 5.0, wavelength_nm + 5.0)
+    pm = PhaseModel(assembly, wavelength_nm - 5.0, wavelength_nm + 5.0)
     try:
         wl_res, _ = pm.nearest_resonance(wavelength_nm, assembly.gap_nm)
     except NoResonanceError as exc:
@@ -569,13 +382,3 @@ def effective_length(assembly: CavityAssembly, wavelength_nm: float, pm: PhaseMo
             f"resonance at {wl_res:.4f} nm (linewidth {width:.4g} nm)"
         )
     return float(StandingWave(assembly, wavelength_nm, assembly.gap_nm).effective_length_um()[0])
-
-
-def membrane_interface_intensity(assembly: CavityAssembly, wavelength_nm: float) -> float:
-    """Standing-wave weight of the membrane's fiber-facing surface.
-
-    Returns n^2 |E|^2 at that interface over the peak intracavity
-    n^2 |E|^2 (:meth:`StandingWave.membrane_interface_weight`); this is the
-    ``relative_intensity`` input of :func:`microcav.metrics.roughness_loss`.
-    """
-    return float(StandingWave(assembly, wavelength_nm, assembly.gap_nm).membrane_interface_weight()[0])

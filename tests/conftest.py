@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microcav import resonance, tmm
+from microcav import phase, resonance, tmm
 from microcav import stack as st
 
 
@@ -49,7 +49,7 @@ def field_solves(monkeypatch):
 
 @pytest.fixture()
 def layer_points(monkeypatch):
-    """A list that grows by layers x wavelengths per TMM sweep (tmm.amplitude_coefficients, at both of its bindings)."""
+    """A list that grows by layers x wavelengths per TMM sweep (tmm.amplitude_coefficients, at each of its bindings)."""
     calls = []
     sweep = tmm.amplitude_coefficients
 
@@ -57,6 +57,6 @@ def layer_points(monkeypatch):
         calls.append(len(stack.layers) * np.asarray(wavelength_nm).size)
         return sweep(stack, wavelength_nm)
 
-    for module in (tmm, resonance):
+    for module in (tmm, resonance, phase):
         monkeypatch.setattr(module, "amplitude_coefficients", counted)
     return calls

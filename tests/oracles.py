@@ -14,13 +14,17 @@ the fiber-side gap; these are independent references:
   backward-propagated solution;
 * ``FlatStandingWave``: one backward-propagated solve of the flattened
   cavity at one gap, and L_eff, the emitter overlap and the
-  membrane-interface weight read from it layer by layer.
+  membrane-interface weight read from it layer by layer;
+* ``GridPhaseModel``: the mirrors' phase on a dense grid, linear between
+  nodes and rooted per cell in closed form, and ``grid_find_resonances``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from microcav.phase import _ANCHOR_NM
+from microcav.resonance import _transmission_maxima, split_response
 from microcav.stack import AIR, CavityAssembly, Layer, LayerStack, split_at_gap
 
 
@@ -296,3 +300,77 @@ class FlatStandingWave:
         for j in range(self.i_gap, len(self.stack.layers) - len(self.assembly.plane_mirror.layers)):
             peak = max(peak, self.stack.layers[j].material.n**2 * factors[j] ** 2 * self.peak_intensity(j))
         return float(np.clip(n_d**2 * e2_if / peak, 0.0, 1.0))
+
+
+def _cell_roots(x0, x1, p0, p1, target, gap_nm):
+    """Root inside [x0, x1] of 4 pi gap / x + p(x) = target, p = p0 + s (x - x0) linear on the cell; vectorized.
+
+    x * miss = s x^2 + (p0 - s x0 - target) x + 4 pi gap; of the two roots of
+    its cancellation-free form the one nearer the cell's middle is taken.
+    """
+    s = (p1 - p0) / (x1 - x0)
+    b, c = p0 - s * x0 - target, 4.0 * np.pi * gap_nm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * s * c, 0.0)), b))
+        mid = 0.5 * (x0 + x1)
+        near, far = h / s, c / h
+        root = np.where(np.abs(near - mid) <= np.abs(far - mid), near, far)
+        return np.where(s == 0.0, -c / b, root)
+
+
+class GridPhaseModel:
+    """Mirror phases unwrapped on a grid and anchored at its node nearest ``_ANCHOR_NM``, linear between nodes."""
+
+    def __init__(self, assembly: CavityAssembly, wl_min_nm: float, wl_max_nm: float, step_nm: float = 0.02):
+        lo, hi = min(wl_min_nm, _ANCHOR_NM - 2.0), max(wl_max_nm, _ANCHOR_NM + 2.0)
+        self.wl = np.linspace(lo, hi, int(np.ceil((hi - lo) / step_nm)) + 1)
+        split, i0 = split_response(assembly, self.wl), int(np.argmin(np.abs(self.wl - _ANCHOR_NM)))
+        phis = [(r, np.unwrap(np.angle(r))) for r in (split.r_fiber, split.r_rest)]
+        self.phi_mirrors = sum(phi + 2.0 * np.pi * np.round((np.angle(r[i0]) % (2.0 * np.pi) - phi[i0]) / (2.0 * np.pi))
+                               for r, phi in phis)
+        self.mag = np.abs(split.r_fiber * split.r_rest)
+
+    def mirror_phase(self, wl_nm):
+        return np.interp(wl_nm, self.wl, self.phi_mirrors)
+
+    def round_trip_phase(self, wl_nm, gap_nm):
+        return 4.0 * np.pi * gap_nm / np.asarray(wl_nm, dtype=float) + self.mirror_phase(wl_nm)
+
+    def linewidth_nm(self, wl_nm, gap_nm):
+        rho = np.minimum(np.interp(wl_nm, self.wl, self.mag), 1.0 - 1e-12)
+        group_length = np.interp(wl_nm, self.wl, 0.5 * np.gradient(self.phi_mirrors, 2.0 * np.pi / self.wl))
+        return wl_nm**2 / (2.0 * (gap_nm + group_length)) * (1.0 - rho) / (np.pi * np.sqrt(rho))
+
+    def tuning_slope(self, wl_nm, gap_nm):
+        wl = np.asarray(wl_nm, dtype=float)
+        i = np.clip(np.searchsorted(self.wl, wl, side="right") - 1, 0, self.wl.size - 2)
+        dphi = (self.phi_mirrors[i + 1] - self.phi_mirrors[i]) / (self.wl[i + 1] - self.wl[i])
+        return -(4.0 * np.pi / wl) / (dphi - 4.0 * np.pi * gap_nm / wl**2)
+
+    def solve_wavelengths(self, q, gap_nm, window=None):
+        """(wavelengths, found): per row the root on the window's first cell where the phase miss changes sign or is 0 at a node."""
+        sel = slice(None) if window is None else slice(np.searchsorted(self.wl, window[0], side="left"),
+                                                       np.searchsorted(self.wl, window[1], side="right"))
+        wl, phi = self.wl[sel], self.phi_mirrors[sel]
+        q, gap = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(gap_nm, dtype=float))
+        miss = 4.0 * np.pi * gap[..., None] / wl + phi - 2.0 * np.pi * (q[..., None] + 1.0)
+        change = np.diff(np.signbit(miss), axis=-1) | (miss[..., :-1] == 0.0) | (miss[..., 1:] == 0.0)
+        found, i = change.any(axis=-1), change.argmax(axis=-1)
+        return np.where(found, _cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], 2.0 * np.pi * (q + 1.0), gap), np.nan), found
+
+
+def grid_find_resonances(assembly: CavityAssembly, gap_nm, wavelength_window, rel_prominence=1e-3, step_nm=0.02):
+    """``find_resonances`` on a ``GridPhaseModel``: every order crossing of a grid cell, rooted by ``_cell_roots``."""
+    lo, hi = wavelength_window
+    gaps = np.atleast_1d(np.asarray(gap_nm, dtype=float))
+    pm = GridPhaseModel(assembly, lo - 5.0, hi + 5.0, step_nm)
+    i0 = max(int(np.searchsorted(pm.wl, lo, side="right")) - 1, 0)
+    i1 = min(int(np.searchsorted(pm.wl, hi, side="left")), pm.wl.size - 1)
+    x, phi = pm.wl[i0:i1 + 1], pm.phi_mirrors[i0:i1 + 1]
+    order = (4.0 * np.pi * gaps[:, None] / x + phi) / (2.0 * np.pi) - 1.0
+    low, high = np.ceil(np.minimum(order[:, :-1], order[:, 1:])), np.ceil(np.maximum(order[:, :-1], order[:, 1:]))
+    # every integer q with low <= q < high crosses the cell
+    crossings = [(g, c, q) for g, c in zip(*np.nonzero(high > low)) for q in range(int(low[g, c]), int(high[g, c]))]
+    g_idx, cell, q = np.array(crossings, dtype=int).reshape(-1, 3).T
+    root = _cell_roots(x[cell], x[cell + 1], phi[cell], phi[cell + 1], 2.0 * np.pi * (q + 1.0), gaps[g_idx])
+    return _transmission_maxima(assembly, pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)

@@ -13,7 +13,7 @@ from microcav import constants, decay, metrics, purcell, scans, spectral, synth,
 from microcav import stack as st
 from microcav.dispersion_fit import fit_dispersion
 from microcav.purcell import EmitterParams, LifetimeModel, fit_lifetime_model, predict_lifetime_curve
-from microcav.resonance import PhaseModel, find_resonances, membrane_interface_intensity
+from microcav.resonance import PhaseModel, StandingWave, find_resonances
 
 
 def _report(n, label, t0, budget_s):
@@ -105,7 +105,7 @@ def test_criterion_05_roughness_bound():
         a = st.default_assembly(membrane={"thickness_nm": float(t_d), "n": constants.N_DIAMOND, "sigma_rms_nm": 3.6})
         pm = PhaseModel(a, 730.0, 745.0)
         gap, _ = pm.retune_gap(constants.SIV_ZPL_CD_NM, 6000.0)
-        w = membrane_interface_intensity(a.with_gap(gap), constants.SIV_ZPL_CD_NM)
+        w = StandingWave(a, constants.SIV_ZPL_CD_NM, gap).membrane_interface_weight()[0]
         loss = metrics.roughness_loss(3.6, constants.N_DIAMOND, 1.0, constants.SIV_ZPL_CD_NM, w)
         hits.append((t_d, loss))
     in_band = [(t_d, l) for t_d, l in hits if abs(l - 2100.0) <= 600.0]
