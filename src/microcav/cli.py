@@ -102,7 +102,7 @@ def cmd_metrics(args) -> int:
     wl = args.wavelength
     pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
     gap_res, geometry, _ = operating_point(pm, wl, args.gap if args.gap is not None else assembly.gap_nm)
-    budget = metrics.loss_budget(assembly, wl, args.membrane_loss)
+    budget = metrics.loss_budget(pm, wl, args.membrane_loss)
     finesse = metrics.finesse_from_losses(budget)
     q_c = metrics.quality_factor(geometry.effective_length_um, wl, finesse)
     payload = {

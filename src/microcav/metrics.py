@@ -18,12 +18,9 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-
-from .stack import AIR, CavityAssembly
-from .tmm import stack_response
 
 
 class UnstableResonatorError(ValueError):
@@ -62,21 +59,8 @@ class LossBudget:
             + self.other_ppm
         )
 
-    def scaled(self, factor: float) -> "LossBudget":
-        return LossBudget(*(v * factor for v in (
-            self.transmission1_ppm, self.transmission2_ppm, self.excess1_ppm,
-            self.excess2_ppm, self.membrane_ppm, self.other_ppm)))
-
     def to_dict(self) -> dict:
-        return {
-            "transmission1_ppm": self.transmission1_ppm,
-            "transmission2_ppm": self.transmission2_ppm,
-            "excess1_ppm": self.excess1_ppm,
-            "excess2_ppm": self.excess2_ppm,
-            "membrane_ppm": self.membrane_ppm,
-            "other_ppm": self.other_ppm,
-            "total_ppm": self.total_ppm,
-        }
+        return {**asdict(self), "total_ppm": self.total_ppm}
 
 
 @dataclass(frozen=True)
@@ -159,18 +143,14 @@ def quality_factor(effective_length_um: float, wavelength_nm: float, finesse: fl
     return float(2.0 * effective_length_um * 1e3 * finesse / wavelength_nm)
 
 
-def loss_budget(assembly: CavityAssembly, wavelength_nm: float, membrane_loss_ppm: float) -> LossBudget:
-    """Round-trip loss budget of a cavity at one wavelength.
+def loss_budget(pm, wavelength_nm: float, membrane_loss_ppm: float) -> LossBudget:
+    """Round-trip loss budget of the cavity of the PhaseModel ``pm`` at one wavelength.
 
-    T1 and T2 are the TMM transmissions of the configured coatings seen
-    from the gap, the excess losses are the mirrors' ``excess_loss_ppm``,
-    and ``membrane_loss_ppm`` counts only when the cavity holds a membrane.
+    T1 and T2 are the coatings' Re(n_sub) |t|^2 from the gap, from ``pm``'s coating
+    sweep (exact at its nodes); the excess losses are the mirrors' ``excess_loss_ppm``, and
+    ``membrane_loss_ppm`` counts only when the cavity holds a membrane.
     """
-    fiber, plane = assembly.fiber_mirror, assembly.plane_mirror
-    return LossBudget(
-        transmission1_ppm=stack_response(fiber.as_stack(AIR), wavelength_nm).T * 1e6,
-        transmission2_ppm=stack_response(plane.as_stack(AIR), wavelength_nm).T * 1e6,
-        excess1_ppm=fiber.excess_loss_ppm,
-        excess2_ppm=plane.excess_loss_ppm,
-        membrane_ppm=membrane_loss_ppm if assembly.membrane is not None else 0.0,
-    )
+    a = pm.assembly
+    t1, t2 = (float(t) * 1e6 for t in pm.coating_transmittance(wavelength_nm))
+    return LossBudget(t1, t2, a.fiber_mirror.excess_loss_ppm, a.plane_mirror.excess_loss_ppm,
+                      membrane_loss_ppm if a.membrane is not None else 0.0)

@@ -1,9 +1,9 @@
-"""The round-trip phase of the cavity cut open at the fiber-side gap: one model for every use.
+"""The cavity cut open at the fiber-side gap: one model of its phase and transmission for every use.
 
 ``PhaseModel`` sweeps the two coatings with the TMM once, on nodes
-``_STEP_NM`` apart; between them each coating's r is a cubic Hermite
-interpolant with five-point node slopes.  The second gap and the membrane
-are two more Airy steps on the plane coating (van Dam et al., NJP 20, 115004
+``_STEP_NM`` apart; across each node cell, each coating's r and t are the
+polynomials through the ``_NODES_PER_CELL`` nodes around it.  The second
+gap and the membrane are two more Airy steps on the plane coating (van Dam et al., NJP 20, 115004
 (2018)), taken at the wavelengths asked for, so t_d and t_g2 are plain
 arguments and every derivative is analytic.  A step turns R = r e^{2i delta}
 into r' = R (1 + rho/R) / (1 + rho R), and arg r' = arg R + Arg(r'/R) has no
@@ -14,6 +14,8 @@ phase unwrapped over the nodes.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -38,15 +40,53 @@ def _rest_steps(n_front: complex, t_d_nm, t_g2_nm, wl, r_plane, t_plane):
 # anchor of the mode-order convention; any fixed wavelength works, the mirror
 # design wavelength keeps mode orders stable across call sites
 _ANCHOR_NM = constants.MIRROR_CENTER_NM
-# Node spacing of the coatings' interpolants, whose error falls as its fourth
-# power.  On quarter-wave coatings of 4-15 pairs, arg r and ln |r| stay within
-# 1e-11 rad of the TMM within 20 nm of the design wavelength, and on 600-880 nm
-# within a tenth of the error of a 0.02 nm grid interpolated linearly
+# Node spacing of the coatings' interpolants and the nodes each cell's polynomial
+# runs through.  On coatings of 4-15 pairs arg r and ln |r| stay within 1e-11
+# rad of the TMM within 20 nm of the design wavelength.  Out of the stop band a
+# broad resonance's T peak follows the interpolants' slope: with 8 nodes, 3 of
+# 104 random cavities on 810-850 nm had a peak farther from the exact one than a
+# 0.02 nm grid of exact T; with 12, none of 656 on 600-645, 640-680, 810-850 nm
 _STEP_NM = 0.25
+_NODES_PER_CELL = 12
+_POWERS = np.arange(float(_NODES_PER_CELL))
 # Newton on the phase condition stops once every step is below the tolerance;
 # the convergence is quadratic, so the root is then good to far below it
 _NEWTON_STEPS = 12
 _NEWTON_TOL_NM = 1e-7
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrange_rows(shift: int) -> np.ndarray:
+    """[j, k]: the s^j coefficient of the polynomial that is 1 at node shift + k and 0 at the other nodes shift, ...,
+    shift + ``_NODES_PER_CELL`` - 1, with node 0 a cell's left one and s the offset across the cell."""
+    nodes = range(shift, shift + _NODES_PER_CELL)
+    rows = np.zeros((_NODES_PER_CELL, _NODES_PER_CELL))
+    for k, o in enumerate(nodes):
+        poly, scale = [1], 1  # prod (s - m) and prod (o - m) over the other nodes m, in exact integers
+        for m in nodes:
+            if m != o:
+                poly = [a - m * b for a, b in zip([0] + poly, poly + [0])]
+                scale *= o - m
+        rows[:, k] = [c / scale for c in poly]
+    return rows
+
+
+def _interpolants(v):
+    """Per cell of the nodes ``v[2:-2]``, the c_j (last axis) of v(s) = sum_j c_j s^j, s in [0, 1] across it: the polynomial
+    through the ``_NODES_PER_CELL`` nodes around the cell (shifted inward at the ends), c_0 the cell's left node as swept."""
+    left = np.arange(2, v.shape[0] - 3)
+    first = np.clip(left + 1 - _NODES_PER_CELL // 2, 0, v.shape[0] - _NODES_PER_CELL)
+    shift = first - left
+    rows = np.array([_lagrange_rows(f) for f in range(shift.min(), shift.max() + 1)])[shift - shift.min()]
+    # the real and imaginary parts of v's columns alike
+    coeffs = (rows @ v.view(float)[first[:, None] + np.arange(_NODES_PER_CELL)]).view(complex).swapaxes(1, 2)
+    coeffs[..., 0] = v[left]
+    return coeffs
+
+
+def _at(coeffs, cell, s):
+    """The ``_interpolants`` at offset s across each cell; ``s`` has a trailing axis for v's columns."""
+    return (coeffs[cell] * s[..., None] ** _POWERS).sum(axis=-1)
 
 
 def _resonant_gap(q, wl_nm, mirror_phase):
@@ -68,22 +108,26 @@ class PhaseModel:
         self.wl = np.linspace(lo, hi, int(np.ceil((hi - lo) / _STEP_NM)) + 1)
         self.assembly, self.t_d_nm, self.t_g2_nm = assembly, assembly.membrane_thickness_nm, assembly.gap2_nm
         self._n = AIR.nc if assembly.membrane is None else assembly.membrane.material.nc
-        # two more nodes past each end give every node its five-point slope
+        # each coating's r and t from the gap, on two more nodes past each end for the end cells' polynomials
         h = self.wl[1] - self.wl[0]
         swept = np.concatenate([lo - h * np.array([2.0, 1.0]), self.wl, hi + h * np.array([1.0, 2.0])])
-        r = np.column_stack([amplitude_coefficients(mirror.as_stack(AIR), swept)[0]
-                             for mirror in (assembly.fiber_mirror, assembly.plane_mirror)])
-        slope = (r[:-4] - 8.0 * r[1:-3] + 8.0 * r[3:-1] - r[4:]) / 12.0
-        r = r[2:-2]
-        self._arg_nodes = np.unwrap(np.angle(r), axis=0)
-        # per cell, r(s) = c0 + s (c1 + s (c2 + s c3)) with s in [0, 1] across it
-        rise = r[1:] - r[:-1]
-        self._cubic = np.stack([r[:-1], slope[:-1], 3.0 * rise - 2.0 * slope[:-1] - slope[1:],
-                                slope[:-1] + slope[1:] - 2.0 * rise])
+        mirrors = (assembly.fiber_mirror, assembly.plane_mirror)
+        (r_fiber, t_fiber), (r_plane, t_plane) = (amplitude_coefficients(m.as_stack(AIR), swept) for m in mirrors)
+        self._coatings = _interpolants(np.column_stack([r_fiber, r_plane, t_fiber, t_plane]))
+        r = np.column_stack([r_fiber, r_plane])
+        self._n_substrate = np.array([m.substrate.nc for m in mirrors])
+        self._arg_nodes = np.unwrap(np.angle(r[2:-2]), axis=0)
         rho = abs((self._n - AIR.nc) / (self._n + AIR.nc))
-        self._jumps = self._n.imag != 0.0 or not np.all(np.abs(r[:, 1]) > 2.0 * rho / (1.0 + rho * rho))
+        self._jumps = self._n.imag != 0.0 or not np.all(np.abs(r[2:-2, 1]) > 2.0 * rho / (1.0 + rho * rho))
         self._i_anchor = int(np.argmin(np.abs(self.wl - _ANCHOR_NM)))
         self.turns = self.anchor_turns(self.t_d_nm, self.t_g2_nm)
+
+    def _cell(self, wl):
+        """(node cell, offset s in [0, 1] across it with a trailing axis, node step) of each wavelength."""
+        h = self.wl[1] - self.wl[0]
+        u = (wl - self.wl[0]) / h
+        cell = np.clip(u.astype(int), 0, len(self._coatings) - 1)  # past the grid, the end cells' polynomials go on
+        return cell, (u - cell)[..., None], h
 
     def _closed_form(self, wl, t_d_nm, t_g2_nm):
         """``phase`` with each step's arg in closed form.
@@ -91,13 +135,10 @@ class PhaseModel:
         The derivatives follow ln r through each step by
         d ln r' / d ln R = (n / n_out) g^2 R / r'.
         """
-        h = self.wl[1] - self.wl[0]
-        u = (wl - self.wl[0]) / h
-        cell = np.clip(u.astype(int), 0, self._cubic.shape[1] - 1)  # past the grid, the edge cells' cubics go on
-        s = (u - cell)[..., None]
-        c0, c1, c2, c3 = self._cubic[:, cell]
-        r = c0 + s * (c1 + s * (c2 + s * c3))
-        arg_r, dln_r = self._arg_nodes[cell] + np.angle(r / c0), (c1 + s * (2.0 * c2 + 3.0 * s * c3)) / (h * r)
+        cell, s, h = self._cell(wl)
+        c, powers = self._coatings[cell, :2], s[..., None] ** _POWERS
+        r, dr = (c * powers).sum(axis=-1), (c[..., 1:] * (_POWERS[1:] * powers[..., :-1])).sum(axis=-1)
+        arg_r, dln_r = self._arg_nodes[cell] + np.angle(r / c[..., 0]), dr / (h * r)
         n, two_k = self._n, 4.0 * np.pi / wl
         (r1, _, big_r1, g1), (r2, _, big_r2, g2) = _rest_steps(n, t_d_nm, t_g2_nm, wl, r[..., 1], 1.0)
         gain1, gain2 = g1 * g1 * big_r1 / (n * r1), n * g2 * g2 * big_r2 / r2
@@ -133,6 +174,23 @@ class PhaseModel:
         return int(np.round((principal - phi) / (2.0 * np.pi)))
 
     # -- continuous quantities at the assembly's geometry -----------------------
+
+    def coating_transmittance(self, wl_nm):
+        """Re(n_sub) |t|^2 of the fiber and the plane coating (last axis) from the gap; at a node the sweep's own."""
+        return self._n_substrate.real * np.abs(_at(self._coatings[:, 2:], *self._cell(np.asarray(wl_nm, dtype=float))[:2])) ** 2
+
+    def transmission(self, wl_nm, gap_nm):
+        """Power transmission of the whole cavity at the assembly's t_d, t_g2; ``gap_nm`` broadcasts against ``wl_nm``.
+
+        t = t_1 t_rest e^{ik t_g} / (1 - r_1 r_rest e^{2ik t_g}) across the air gap, t_1 = n_sub t_from_gap (reciprocity).
+        """
+        wl = np.asarray(wl_nm, dtype=float)
+        cell, s, _ = self._cell(wl)
+        r_fiber, r_plane, t_fiber, t_plane = np.moveaxis(_at(self._coatings, cell, s), -1, 0)
+        r_rest, t_rest, _, _ = _rest_steps(self._n, self.t_d_nm, self.t_g2_nm, wl, r_plane, t_plane)[1]
+        round_trip = r_fiber * r_rest * np.exp(4j * np.pi * np.asarray(gap_nm, dtype=float) / wl)
+        n_fiber, n_plane = self._n_substrate
+        return n_plane.real / n_fiber.real * np.abs(n_fiber * t_fiber * t_rest) ** 2 / np.abs(1.0 - round_trip) ** 2
 
     def mirror_phase(self, wl_nm):
         return self.phase(wl_nm)[0] + 2.0 * np.pi * self.turns

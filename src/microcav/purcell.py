@@ -220,7 +220,7 @@ def predict_lifetime_curve(
         raise ValueError("the emitters sit in the membrane, but the assembly has no membrane (membrane: null)")
     wl = emitter.zpl_wavelength_nm
     pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
-    finesse = metrics.finesse_from_losses(metrics.loss_budget(assembly, wl, membrane_loss_ppm))
+    finesse = metrics.finesse_from_losses(metrics.loss_budget(pm, wl, membrane_loss_ppm))
     targets = np.atleast_1d(np.asarray(gaps_nm, dtype=float)).tolist()
     retuned = [_or_error(_retuned, pm, wl, g) for g in targets]
     wave = StandingWave(assembly, wl, [r[0] for r in retuned if not isinstance(r, Exception)])

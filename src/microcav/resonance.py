@@ -2,18 +2,17 @@
 
 Cut open at the fiber-coating surface, the cavity is two reflectors facing
 the air gap t_g: the fiber mirror, and everything beyond the gap (membrane,
-second gap, plane mirror).  Neither depends on t_g.  The two coatings are
-swept with the TMM (``tmm``'s fold of Airy steps), and the second gap and
-the membrane are composed in front of the plane coating by two more of the
-same steps (van Dam et al., NJP 20, 115004 (2018); Janitz et al., PRA 92,
-043844 (2015)):
+second gap, plane mirror).  Neither depends on t_g.  ``PhaseModel``
+(``microcav.phase``) sweeps the two coatings' r and t with the TMM once, and
+composes the second gap and the membrane in front of the plane coating by
+two more Airy steps (van Dam et al., NJP 20, 115004 (2018); Janitz et al.,
+PRA 92, 043844 (2015)).  It is the one model of the cavity's response:
 
 * the full-stack transmission, which is what a spectrometer sees, is the
   Airy composition ``t = t1 t2 e^{ik t_g} / (1 - r1 r2 e^{2ik t_g})``;
   ``dispersion_map`` broadcasts it over a gap x wavelength grid;
-* ``PhaseModel`` (``microcav.phase``) is the one model of the round-trip
-  phase ``Phi = 4 pi t_g / lambda + arg r1(lambda) + arg r2(lambda)``; a
-  mode of order q resonates where ``Phi = 2 pi (q + 1)``;
+* the round-trip phase is ``Phi = 4 pi t_g / lambda + arg r1(lambda) +
+  arg r2(lambda)``; a mode of order q resonates where ``Phi = 2 pi (q + 1)``;
 * ``find_resonances`` solves that condition for every order in the window
   and every gap at once, by a sign scan over the nodes and Newton steps,
   then moves each root to the transmission maximum next to it (a
@@ -42,9 +41,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phase import NoResonanceError, PhaseModel, _rest_steps
+from .phase import NoResonanceError, PhaseModel
 from .stack import AIR, CavityAssembly, GeometryError, Layer, split_at_gap
-from .tmm import _wave_amplitudes, amplitude_coefficients
+# amplitude_coefficients stays bound here, where the benchmark's tracer and its self-test wrap it
+from .tmm import _wave_amplitudes, amplitude_coefficients  # noqa: F401
 
 
 class OffResonanceError(RuntimeError):
@@ -62,48 +62,6 @@ class ResonancePoint:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class SplitResponse:
-    """The two halves of the cavity cut open at the fiber-side gap, on one grid.
-
-    ``r_fiber`` is the fiber coating's reflection seen from the gap and
-    ``t_fiber`` its transmission from the fiber substrate into the gap;
-    ``r_rest`` and ``t_rest`` are those of everything beyond the gap, for
-    light arriving from the gap.  ``power_ratio`` is Re(n_exit) / Re(n_entry)
-    of the whole cavity, which turns |t|^2 into transmitted power.
-    """
-
-    wl: np.ndarray
-    r_fiber: np.ndarray
-    t_fiber: np.ndarray
-    r_rest: np.ndarray
-    t_rest: np.ndarray
-    power_ratio: float
-
-    def transmission(self, gap_nm):
-        """Power transmission of the whole cavity; ``gap_nm`` broadcasts against ``wl``.
-
-        The gap is air, so |e^{ik t_g}| = 1 and only the round trip's phase
-        enters the Airy denominator.
-        """
-        round_trip = self.r_fiber * self.r_rest * np.exp(4j * np.pi * np.asarray(gap_nm, dtype=float) / self.wl)
-        return self.power_ratio * np.abs(self.t_fiber * self.t_rest) ** 2 / np.abs(1.0 - round_trip) ** 2
-
-
-def split_response(assembly: CavityAssembly, wavelength_nm) -> SplitResponse:
-    """r and t of the fiber coating and of the rest of the stack, seen from the gap."""
-    wl = np.asarray(wavelength_nm, dtype=float)
-    fiber, plane = assembly.fiber_mirror.as_stack(AIR), assembly.plane_mirror.as_stack(AIR)
-    r_fiber, t_gap_side = amplitude_coefficients(fiber, wl)
-    # reciprocity: from its substrate the coating transmits n_sub / n_gap
-    # times the amplitude it transmits from the gap
-    t_fiber = t_gap_side * (fiber.exit.nc / fiber.entry.nc)
-    n_front = AIR.nc if assembly.membrane is None else assembly.membrane.material.nc
-    r_rest, t_rest, _, _ = _rest_steps(n_front, assembly.membrane_thickness_nm, assembly.gap2_nm, wl,
-                                       *amplitude_coefficients(plane, wl))[1]
-    return SplitResponse(wl, r_fiber, t_fiber, r_rest, t_rest, plane.exit.nc.real / fiber.exit.nc.real)
 
 
 def classify_character(pm: PhaseModel, gap_nm, wl_nm) -> np.ndarray:
@@ -164,15 +122,14 @@ def find_resonances(
     seg = np.repeat(seg, n)
     g_idx, a, b, oa, ob = g_idx[seg], a[seg], b[seg], oa[seg], ob[seg]
     root = pm.newton(q - pm.turns, gaps[g_idx], a + (b - a) * (oa - q) / (oa - ob), a, b)
-    return _transmission_maxima(assembly, pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)
+    return _transmission_maxima(pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)
 
 
-def _transmission_maxima(assembly: CavityAssembly, pm, gaps, g_idx, q, root, wavelength_window,
-                        rel_prominence: float) -> list[ResonancePoint]:
+def _transmission_maxima(pm, gaps, g_idx, q, root, wavelength_window, rel_prominence: float) -> list[ResonancePoint]:
     """Roots of orders q at ``gaps[g_idx]``, moved to the transmission maxima and labelled with q and their character.
 
-    Each root moves by a parabola on log T at +-linewidth/60 (the linewidth
-    and tuning slope from ``pm``).  A resonance outside the window, or whose T
+    Each root moves by a parabola on log T at +-linewidth/60 (T, the linewidth
+    and the tuning slope from ``pm``).  A resonance outside the window, or whose T
     at the root is below ``rel_prominence`` times the largest T at its gap,
     is dropped.  The list runs in order of gap, then wavelength.
     """
@@ -182,8 +139,8 @@ def _transmission_maxima(assembly: CavityAssembly, pm, gaps, g_idx, q, root, wav
     # peak's asymmetry grows as h^2: on a broad mode 50 nm from the coating's
     # design wavelength it is 6e-6 nm at +-linewidth/6, 6e-8 nm at /60
     h = pm.linewidth_nm(root, gap) / 60.0
-    logt = np.log(np.maximum(split_response(assembly, root[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]))
-                             .transmission(gap[:, None]), 1e-300))
+    logt = np.log(np.maximum(pm.transmission(root[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]), gap[:, None]),
+                             1e-300))
     curv = logt[:, 0] - 2.0 * logt[:, 1] + logt[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(curv < 0.0, 0.5 * (logt[:, 0] - logt[:, 2]) / curv, 0.0)
@@ -225,14 +182,17 @@ def dispersion_map(
     wavelength_window: tuple[float, float],
     wavelength_steps: int,
 ) -> DispersionMap:
-    """Dense transmission map over a gap x wavelength grid, one split response for every row."""
+    """Dense transmission map over a gap x wavelength grid, from one PhaseModel over the window.
+
+    A window given high to low maps the same wavelengths in falling order.
+    """
     if gap_steps < 2 or wavelength_steps < 2:
         raise ValueError("need at least 2 steps per axis")
     gaps = np.linspace(gap_range_nm[0], gap_range_nm[1], gap_steps)
     if not np.all(gaps >= 0.0):
         raise GeometryError("gaps must be >= 0")
     wls = np.linspace(wavelength_window[0], wavelength_window[1], wavelength_steps)
-    return DispersionMap(gaps, wls, split_response(assembly, wls).transmission(gaps[:, None]))
+    return DispersionMap(gaps, wls, PhaseModel(assembly, wls.min(), wls.max()).transmission(wls, gaps[:, None]))
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ class LayerStack:
     """Ordered layers between two semi-infinite media.
 
     Layer 0 is adjacent to ``entry``; the last layer is adjacent to
-    ``exit``.  Light in :func:`microcav.tmm.stack_response` is incident
-    from the entry side.
+    ``exit``.  Light in :func:`microcav.tmm.amplitude_coefficients` is
+    incident from the entry side.
     """
 
     entry: Material

@@ -21,11 +21,10 @@ depth and nothing is rescaled; an opaque layer makes t underflow to 0.
 The per-layer field comes from the same fold: forward amplitudes are the
 products a_0 = g_0, a_{j+1} = g_{j+1} a_j e^{ik_j d_j}, backward ones
 b_j = R_j a_j.  All wavelength arguments accept scalars or arrays
-(vectorized over wavelength).  The stacks solved here are single coatings
-or the part of the cavity beyond the fiber-side gap, never the whole
-cavity: ``resonance.split_response`` composes those with the same step, and
-``resonance.StandingWave`` combines their per-layer amplitudes
-(``_wave_amplitudes``) into the cavity's field.
+(vectorized over wavelength).  The package solves single coatings and the
+cavity beyond the fiber-side gap, never the whole cavity, in two places:
+``phase.PhaseModel`` sweeps the coatings (``amplitude_coefficients``) and
+``resonance.StandingWave`` joins per-layer amplitudes (``_wave_amplitudes``).
 """
 
 from __future__ import annotations
@@ -36,23 +35,7 @@ import numpy as np
 
 from .stack import LayerStack
 
-__all__ = ["StackResponse", "FieldProfile", "stack_response", "field_profile"]
-
-
-@dataclass(frozen=True)
-class StackResponse:
-    """Complex amplitude and power coefficients of one stack at one wavelength.
-
-    ``r``/``t`` are field coefficients for incidence from the entry medium;
-    ``R``/``T`` the reflected/transmitted power fractions and ``A`` whatever
-    the stack absorbed or lost (zero for lossless stacks within 1e-9).
-    """
-
-    r: complex
-    t: complex
-    R: float
-    T: float
-    A: float
+__all__ = ["FieldProfile", "amplitude_coefficients", "field_profile"]
 
 
 @dataclass(frozen=True)
@@ -130,14 +113,6 @@ def amplitude_coefficients(stack: LayerStack, wavelength_nm):
     for _, _, _, r, t in _fold(stack, np.asarray(wavelength_nm, dtype=float)):
         pass
     return r, t
-
-
-def stack_response(stack: LayerStack, wavelength_nm: float) -> StackResponse:
-    """Full response record at a single wavelength."""
-    r, t = amplitude_coefficients(stack, float(wavelength_nm))
-    R = float(np.abs(r) ** 2)
-    T = float(stack.exit.nc.real / stack.entry.nc.real * np.abs(t) ** 2)
-    return StackResponse(r=complex(r), t=complex(t), R=R, T=T, A=1.0 - R - T)
 
 
 def _wave_amplitudes(stack: LayerStack, wavelength_nm: float):

@@ -12,6 +12,8 @@ the fiber-side gap; these are independent references:
 * ``transmission`` of a stack from its matrix product;
 * ``interface_mismatch``: the |E| jump across the interior interfaces of a
   backward-propagated solution;
+* ``stack_response``: r, t and the power coefficients of one stack;
+* ``SplitResponse``: the cavity cut at the fiber-side gap, exact at every wavelength;
 * ``FlatStandingWave``: one backward-propagated solve of the flattened
   cavity at one gap, and L_eff, the emitter overlap and the
   membrane-interface weight read from it layer by layer;
@@ -21,11 +23,14 @@ the fiber-side gap; these are independent references:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from microcav.phase import _ANCHOR_NM
-from microcav.resonance import _transmission_maxima, split_response
+from microcav.phase import _ANCHOR_NM, _rest_steps
+from microcav.resonance import _transmission_maxima
 from microcav.stack import AIR, CavityAssembly, Layer, LayerStack, split_at_gap
+from microcav.tmm import amplitude_coefficients
 
 
 # max|m| above which a wavelength point is rescaled; the check is skipped
@@ -199,6 +204,33 @@ def interface_mismatch(stack: LayerStack, wavelength_nm: float) -> float:
     return worst
 
 
+def stack_response(stack: LayerStack, wavelength_nm: float) -> SimpleNamespace:
+    """r, t, R, T and A = 1 - R - T (what the stack absorbed) at one wavelength, for incidence from the entry medium."""
+    r, t = amplitude_coefficients(stack, float(wavelength_nm))
+    R, T = float(np.abs(r) ** 2), float(stack.exit.nc.real / stack.entry.nc.real * np.abs(t) ** 2)
+    return SimpleNamespace(r=complex(r), t=complex(t), R=R, T=T, A=1.0 - R - T)
+
+
+class SplitResponse:
+    """The cavity cut open at the fiber-side gap, from a TMM solve at every wavelength: ``r_fiber`` seen from the gap,
+    ``t_fiber`` from the fiber substrate (reciprocity), and ``r_rest``, ``t_rest`` of all beyond the gap, seen from it."""
+
+    def __init__(self, assembly: CavityAssembly, wavelength_nm):
+        self.wl = wl = np.asarray(wavelength_nm, dtype=float)
+        fiber, plane = assembly.fiber_mirror.as_stack(AIR), assembly.plane_mirror.as_stack(AIR)
+        self.r_fiber, t_gap_side = amplitude_coefficients(fiber, wl)
+        self.t_fiber = t_gap_side * (fiber.exit.nc / fiber.entry.nc)
+        n_front = AIR.nc if assembly.membrane is None else assembly.membrane.material.nc
+        self.r_rest, self.t_rest, _, _ = _rest_steps(n_front, assembly.membrane_thickness_nm, assembly.gap2_nm, wl,
+                                                     *amplitude_coefficients(plane, wl))[1]
+        self.power_ratio = plane.exit.nc.real / fiber.exit.nc.real
+
+    def transmission(self, gap_nm):
+        """Power transmission of the whole cavity; ``gap_nm`` broadcasts against ``wl``.  The gap is air."""
+        round_trip = self.r_fiber * self.r_rest * np.exp(4j * np.pi * np.asarray(gap_nm, dtype=float) / self.wl)
+        return self.power_ratio * np.abs(self.t_fiber * self.t_rest) ** 2 / np.abs(1.0 - round_trip) ** 2
+
+
 def _expm1_over(c: float, d: float) -> float:
     """(exp(c d) - 1)/c with the c -> 0 limit."""
     x = c * d
@@ -319,12 +351,13 @@ def _cell_roots(x0, x1, p0, p1, target, gap_nm):
 
 
 class GridPhaseModel:
-    """Mirror phases unwrapped on a grid and anchored at its node nearest ``_ANCHOR_NM``, linear between nodes."""
+    """Mirror phases unwrapped on a grid and anchored at its node nearest ``_ANCHOR_NM``, linear between nodes; T exact."""
 
     def __init__(self, assembly: CavityAssembly, wl_min_nm: float, wl_max_nm: float, step_nm: float = 0.02):
+        self.assembly = assembly
         lo, hi = min(wl_min_nm, _ANCHOR_NM - 2.0), max(wl_max_nm, _ANCHOR_NM + 2.0)
         self.wl = np.linspace(lo, hi, int(np.ceil((hi - lo) / step_nm)) + 1)
-        split, i0 = split_response(assembly, self.wl), int(np.argmin(np.abs(self.wl - _ANCHOR_NM)))
+        split, i0 = SplitResponse(assembly, self.wl), int(np.argmin(np.abs(self.wl - _ANCHOR_NM)))
         phis = [(r, np.unwrap(np.angle(r))) for r in (split.r_fiber, split.r_rest)]
         self.phi_mirrors = sum(phi + 2.0 * np.pi * np.round((np.angle(r[i0]) % (2.0 * np.pi) - phi[i0]) / (2.0 * np.pi))
                                for r, phi in phis)
@@ -332,6 +365,9 @@ class GridPhaseModel:
 
     def mirror_phase(self, wl_nm):
         return np.interp(wl_nm, self.wl, self.phi_mirrors)
+
+    def transmission(self, wl_nm, gap_nm):
+        return SplitResponse(self.assembly, wl_nm).transmission(gap_nm)
 
     def round_trip_phase(self, wl_nm, gap_nm):
         return 4.0 * np.pi * gap_nm / np.asarray(wl_nm, dtype=float) + self.mirror_phase(wl_nm)
@@ -373,4 +409,4 @@ def grid_find_resonances(assembly: CavityAssembly, gap_nm, wavelength_window, re
     crossings = [(g, c, q) for g, c in zip(*np.nonzero(high > low)) for q in range(int(low[g, c]), int(high[g, c]))]
     g_idx, cell, q = np.array(crossings, dtype=int).reshape(-1, 3).T
     root = _cell_roots(x[cell], x[cell + 1], phi[cell], phi[cell + 1], 2.0 * np.pi * (q + 1.0), gaps[g_idx])
-    return _transmission_maxima(assembly, pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)
+    return _transmission_maxima(pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import microcav
-from microcav import io, metrics, tmm
+from microcav import io, metrics
 from microcav import stack as st
 from microcav.cli import main
 from microcav.purcell import EmitterParams, predict_lifetime_curve
 from microcav.io import CsvFormatError
+from oracles import stack_response
 
 
 def run(tmp_path, *argv):
@@ -209,7 +210,7 @@ class TestMetricsCommand:
         assert run(tmp_path, "metrics", "--assembly", str(tmp_path / "a.json")) == 0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         a = st.assembly_from_config(cfg)
-        t1, t2 = (tmm.stack_response(m.as_stack(st.AIR), 737.25).T * 1e6 for m in (a.fiber_mirror, a.plane_mirror))
+        t1, t2 = (stack_response(m.as_stack(st.AIR), 737.25).T * 1e6 for m in (a.fiber_mirror, a.plane_mirror))
         expected = 2.0 * np.pi / ((t1 + t2 + 20.0 + 300.0 + 2100.0) * 1e-6)
         assert payload["finesse"] == pytest.approx(expected, rel=1e-12)
         assert payload["finesse"] == pytest.approx(446.0, abs=1.0)

@@ -6,7 +6,9 @@ import pytest
 
 from microcav import constants, metrics, tmm
 from microcav import stack as st
-from oracles import FlatStandingWave, GridPhaseModel, flatten_assembly, grid_find_resonances, transmission
+from oracles import (FlatStandingWave, GridPhaseModel, SplitResponse, flatten_assembly, grid_find_resonances,
+                     stack_response, transmission)
+from microcav.phase import _rest_steps
 from microcav.dispersion_fit import fit_dispersion
 from microcav.purcell import xi_overlap
 from microcav.resonance import (
@@ -17,7 +19,6 @@ from microcav.resonance import (
     dispersion_map,
     effective_length,
     find_resonances,
-    split_response,
 )
 
 
@@ -63,7 +64,7 @@ class TestEmptyCavity:
         t_res = stack_t(gap_res)
         for dg in (-30.0, -10.0, 10.0, 30.0):
             assert stack_t(gap_res + dg) < t_res
-        resp = tmm.stack_response(flatten_assembly(empty_assembly.with_gap(gap_res)), wl)
+        resp = stack_response(flatten_assembly(empty_assembly.with_gap(gap_res)), wl)
         assert resp.R < 0.01  # R minimal on resonance for the symmetric cavity
 
     def test_membrane_removal_restores_linear_dispersion(self, fixture_mirror):
@@ -114,6 +115,15 @@ class TestMembraneDispersion:
         a = dispersion_map(membrane_assembly, (13_000.0, 13_400.0), 3, (730.0, 740.0), 50)
         b = dispersion_map(membrane_assembly, (13_000.0, 13_400.0), 3, (730.0, 740.0), 50)
         assert np.array_equal(a.t, b.t)
+
+    def test_map_of_a_reversed_window(self, membrane_assembly):
+        # a window given high to low reads a model over the same wavelengths, not one
+        # that ends at the anchor's nodes and extrapolates out to the window
+        gaps = (13_000.0, 13_400.0)
+        dmap = dispersion_map(membrane_assembly, gaps, 3, (750.0, 720.0), 50)
+        assert dmap.wavelengths_nm[0] == 750.0 and dmap.wavelengths_nm[-1] == 720.0
+        exact = SplitResponse(membrane_assembly, dmap.wavelengths_nm).transmission(dmap.gaps_nm[:, None])
+        np.testing.assert_allclose(dmap.t, exact, rtol=1e-8, atol=0.0)
 
     def test_empty_window_error(self, membrane_assembly):
         with pytest.raises(ValueError):
@@ -167,7 +177,7 @@ class TestEffectiveLength:
                 target = (gap, l_eff)
         gap, l_eff = target
         assert l_eff == pytest.approx(20.0, abs=1.0)
-        finesse = metrics.finesse_from_losses(metrics.loss_budget(membrane_assembly, 737.25, 2100.0))
+        finesse = metrics.finesse_from_losses(metrics.loss_budget(pm, 737.25, 2100.0))
         q_c = metrics.quality_factor(l_eff, 737.25, finesse)
         assert q_c == pytest.approx(7.2e4, rel=0.25)
 
@@ -274,7 +284,7 @@ class TestVectorSolve:
     @pytest.mark.parametrize("edge", [0, -1])
     def test_root_continues_smoothly_off_the_grid(self, membrane_assembly, edge):
         # the dispersion fit's Newton roots are not held to the grid: past its
-        # edge the coatings' cubics continue, so a resonance moves on with no jump
+        # edge the end cells' polynomials continue, so a resonance moves on with no jump
         pm = PhaseModel(membrane_assembly, 730.0, 745.0)
         x_edge = pm.wl[edge]
         q = pm.mode_order(x_edge, 13_000.0)
@@ -453,7 +463,7 @@ _BOUND_RAD = 1e-11
 
 def _exact_phase(asm, wl, delta=1e-4):
     """arg r_fiber + arg r_rest (principal values) and its central-difference slope, from exact split responses."""
-    split, ahead, behind = (split_response(asm, wl + d) for d in (0.0, delta, -delta))
+    split, ahead, behind = (SplitResponse(asm, wl + d) for d in (0.0, delta, -delta))
     slope = np.angle(ahead.r_fiber * ahead.r_rest / (behind.r_fiber * behind.r_rest)) / (2.0 * delta)
     return np.angle(split.r_fiber) + np.angle(split.r_rest), slope
 
@@ -462,6 +472,39 @@ def _linear_error(grid, window):
     """The grid oracle's linear-interpolation error bound on a window: max |second difference of its phase| / 8."""
     inside = (grid.wl >= window[0] - 1.0) & (grid.wl <= window[1] + 1.0)
     return np.max(np.abs(np.diff(grid.phi_mirrors[inside], 2))) / 8.0
+
+
+def _ln_t_bound(asm, pm, wl, gap):
+    """Bound on |ln(pm.transmission / exact T)| at (wl, gap), from each coating's interpolation error there.
+
+    The cavity's t is t_f t_rest e^{ik t_g} / (1 - r_f r_rest e^{2ik t_g}), and t_rest is
+    t_p times a function of r_p, so to first order
+    delta ln T = 2 Re(delta ln t_f + delta ln t_p + A_f delta ln r_f + A_p delta ln r_p)
+    with A = d ln t / d ln r.  The t's enter by Re delta ln t = delta ln |t|, which
+    ``coating_transmittance`` shows, the r's through a model with the coating as its
+    fiber mirror.  The bound adds the first order's square for the higher orders and
+    64 roundings of each term.
+    """
+    mirrors = (asm.fiber_mirror, asm.plane_mirror)
+    r, t = zip(*(tmm.amplitude_coefficients(m.as_stack(), wl) for m in mirrors))
+    exact_t = np.stack([m.substrate.n * np.abs(x) ** 2 for m, x in zip(mirrors, t)], axis=-1)
+    ln_t = np.abs(np.log(pm.coating_transmittance(wl) / exact_t))
+    ln_r = [np.abs(np.log(PhaseModel(dataclasses.replace(asm, fiber_mirror=m), pm.wl[0], pm.wl[-1]).phase(wl)[4] / x))
+            for m, x in zip(mirrors, r)]
+    n = st.AIR.nc if asm.membrane is None else asm.membrane.material.nc
+    gap_phase = np.exp(4j * np.pi * np.asarray(gap) / wl)
+
+    def t_cavity(r_fiber, r_plane):
+        """The cavity's t, up to factors that do not depend on the r's."""
+        r_rest, t_rest, _, _ = _rest_steps(n, asm.membrane_thickness_nm, asm.gap2_nm, wl, r_plane, t[1])[1]
+        return t_rest / (1.0 - r_fiber * r_rest * gap_phase)
+
+    # |A| by central differences in ln r; t is analytic in each r
+    up, down = 1.0 + 1e-5, 1.0 - 1e-5
+    a_fiber = np.abs(np.log(t_cavity(r[0] * up, r[1]) / t_cavity(r[0] * down, r[1]))) / np.log(up / down)
+    a_plane = np.abs(np.log(t_cavity(r[0], r[1] * up) / t_cavity(r[0], r[1] * down))) / np.log(up / down)
+    first = ln_t[..., 0] + ln_t[..., 1] + 2.0 * a_fiber * ln_r[0] + 2.0 * a_plane * ln_r[1]
+    return first + first**2 + 64.0 * np.finfo(float).eps * (1.0 + 2.0 * a_fiber + 2.0 * a_plane)
 
 
 class TestSmoothPhase:
@@ -502,6 +545,12 @@ class TestSmoothPhase:
                 ln_error = np.log(r / tmm.amplitude_coefficients(mirror.as_stack(), near)[0])
                 assert np.all(np.abs(ln_error.real) <= _BOUND_RAD) and np.all(np.abs(ln_error.imag) <= _BOUND_RAD)
 
+            # the transmission against the exact split: within 1e-8 around the design
+            # wavelength, elsewhere within what the coatings' interpolation errors allow
+            gap_column = np.asarray(gaps)[:, None]
+            ln_t_error = np.abs(np.log(pm.transmission(wl, gap_column) / SplitResponse(asm, wl).transmission(gap_column)))
+            assert np.all(ln_t_error <= (1e-8 if window == _DESIGN_WINDOW else _ln_t_bound(asm, pm, wl, gap_column)))
+
             # the resonances against the grid oracle's: the same labels and, where Phi falls
             # across the whole window at every gap, each as close to those of a 5x finer grid
             # (25x more accurate) as the oracle's.  Where Phi turns, a root near the turn sits on
@@ -509,7 +558,7 @@ class TestSmoothPhase:
             ours, ref = find_resonances(asm, gaps, window), grid_find_resonances(asm, gaps, window)
             assert [(p.gap_nm, p.q_gap, p.character) for p in ours] == [(p.gap_nm, p.q_gap, p.character) for p in ref]
             x = grid.wl[(grid.wl >= window[0]) & (grid.wl <= window[1])]
-            if ours and np.all(np.diff(grid.round_trip_phase(x, np.asarray(gaps)[:, None])) < 0.0):
+            if ours and np.all(np.diff(grid.round_trip_phase(x, gap_column)) < 0.0):
                 fine = grid_find_resonances(asm, gaps, window, step_nm=0.004)
                 assert len(fine) == len(ours)
                 ours, ref, fine = (np.array([p.wavelength_nm for p in points]) for points in (ours, ref, fine))
@@ -523,13 +572,24 @@ class TestWorkCount:
 
     def test_find_resonances_default_gaps(self, membrane_assembly, layer_points):
         assert len(find_resonances(membrane_assembly, DEFAULT_GAPS, DEFAULT_WINDOW)) == 22
-        # the two coatings on 205 nodes, then three points around each root
-        assert 0 < sum(layer_points) < 15_000
+        # the two coatings on 201 nodes and two more past each end (9,020); the
+        # points around the roots read the model
+        assert 0 < sum(layer_points) < 10_000
 
     def test_dispersion_map_cli_defaults(self, membrane_assembly, layer_points):
         dmap = dispersion_map(membrane_assembly, (12_800.0, 14_400.0), 60, DEFAULT_WINDOW, 600)
         assert dmap.t.shape == (60, 600)
-        assert 0 < sum(layer_points) < 100_000
+        # the two coatings on the window's 161 nodes and two more past each end (7,260)
+        assert 0 < sum(layer_points) < 10_000
+
+    def test_metrics_loss_budget_reads_the_model(self, membrane_assembly, layer_points, tmp_path):
+        from microcav.cli import main
+
+        assert main(["--outdir", str(tmp_path), "metrics", "--wavelength", "737.25"]) == 0
+        # one model's sweep, the two coatings on its 81 nodes and two more past each
+        # end; the loss budget adds nothing to it
+        layers = len(membrane_assembly.fiber_mirror.layers) + len(membrane_assembly.plane_mirror.layers)
+        assert sum(layer_points) == 85 * layers
 
 
 def _mirror(draw, hst):
@@ -565,13 +625,12 @@ class TestAiryComposition:
         # second gap zero or not, first gap zero or not
         hypothesis = pytest.importorskip("hypothesis")
         hst = hypothesis.strategies
-        from microcav.resonance import split_response
 
         @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
         @hypothesis.given(_assemblies(hst), hst.lists(hst.floats(500.0, 1000.0), min_size=1, max_size=8))
         def check(asm, wls):
             wl = np.asarray(wls)
-            split = split_response(asm, wl)
+            split = SplitResponse(asm, wl)
             planar = transmission(flatten_assembly(asm), wl)
             np.testing.assert_allclose(split.transmission(asm.gap_nm), planar, rtol=1e-9, atol=0.0)
             # the closed-form membrane and second gap against the TMM of the same rest of the stack
