@@ -131,10 +131,10 @@ def cmd_dispersion(args) -> int:
     window = (args.wl_min, args.wl_max)
     gaps = np.linspace(args.gap_min, args.gap_max, args.gap_steps)
 
+    # find_resonances rejects a bad window before anything is written
+    resonances = find_resonances(assembly, gaps, window)
     dmap = dispersion_map(assembly, (args.gap_min, args.gap_max), args.map_gap_steps, window, args.wl_steps)
     io.write_csv(out / "map.csv", ["gap_nm", "wavelength_nm", "transmission"], columns=dmap.columns())
-
-    resonances = find_resonances(assembly, gaps, window)
     io.write_json(out / "resonances.json", {
         "meta": _provenance(args, inputs, seed=args.seed),
         "resonances": [p.to_dict() for p in resonances],

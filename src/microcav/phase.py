@@ -37,6 +37,23 @@ def _rest_steps(n_front: complex, t_d_nm, t_g2_nm, wl, r_plane, t_plane):
     return gap2, _airy_step(AIR.nc, n_front, _phase(n_front, t_d_nm, wl), *gap2[:2])
 
 
+def _rest_slopes(n_front: complex, t_d_nm, t_g2_nm, wl, steps, dln_r, dln_t):
+    """d ln r / d lambda and d ln t / d lambda of the ``_rest_steps`` ``steps`` from the plane coating's, and each
+    step's gain d ln r' / d ln R.
+
+    A step (``tmm._airy_step``) turns R = r e^{2i delta} into r' = (rho + R) / (1 + rho R) and t into
+    t' = g e^{i delta} t, g = tau / (1 + rho R), so with d ln R = d ln r + 2i d delta,
+    d ln r' = (n / n_out) g^2 R / r' d ln R and d ln t' = d ln t + i d delta - rho R / (1 + rho R) d ln R.
+    """
+    gains, layers = [], ((n_front, AIR.nc, t_g2_nm), (AIR.nc, n_front, n_front * t_d_nm))  # n_out, n, n d
+    for (r, _, big_r, g), (n_out, n, optical_nm) in zip(steps, layers):
+        i_ddelta = -2j * np.pi * optical_nm / wl**2  # delta = 2 pi n d / lambda
+        gains.append(n / n_out * g * g * big_r / r)
+        dln_big_r = dln_r + 2.0 * i_ddelta
+        dln_r, dln_t = gains[-1] * dln_big_r, dln_t + i_ddelta - (1.0 - g * (n_out + n) / (2.0 * n_out)) * dln_big_r
+    return dln_r, dln_t, gains
+
+
 # anchor of the mode-order convention; any fixed wavelength works, the mirror
 # design wavelength keeps mode orders stable across call sites
 _ANCHOR_NM = constants.MIRROR_CENTER_NM
@@ -84,11 +101,6 @@ def _interpolants(v):
     return coeffs
 
 
-def _at(coeffs, cell, s):
-    """The ``_interpolants`` at offset s across each cell; ``s`` has a trailing axis for v's columns."""
-    return (coeffs[cell] * s[..., None] ** _POWERS).sum(axis=-1)
-
-
 def _resonant_gap(q, wl_nm, mirror_phase):
     """Gap putting mode order q on resonance at wl; ``solve_gap`` and the root scan share this arithmetic."""
     return (2.0 * np.pi * (q + 1.0) - mirror_phase) * wl_nm / (4.0 * np.pi)
@@ -122,31 +134,27 @@ class PhaseModel:
         self._i_anchor = int(np.argmin(np.abs(self.wl - _ANCHOR_NM)))
         self.turns = self.anchor_turns(self.t_d_nm, self.t_g2_nm)
 
-    def _cell(self, wl):
-        """(node cell, offset s in [0, 1] across it with a trailing axis, node step) of each wavelength."""
+    def _coatings_at(self, wl, columns=slice(None)):
+        """(node cell, value, d / d lambda) of the coatings' interpolant ``columns`` (last axis) at each wavelength;
+        past the grid, the end cells' polynomials go on."""
         h = self.wl[1] - self.wl[0]
         u = (wl - self.wl[0]) / h
-        cell = np.clip(u.astype(int), 0, len(self._coatings) - 1)  # past the grid, the end cells' polynomials go on
-        return cell, (u - cell)[..., None], h
+        cell = np.clip(u.astype(int), 0, len(self._coatings) - 1)
+        c, powers = self._coatings[cell, columns], (u - cell)[..., None, None] ** _POWERS
+        return cell, (c * powers).sum(axis=-1), (c[..., 1:] * (_POWERS[1:] * powers[..., :-1])).sum(axis=-1) / h
 
     def _closed_form(self, wl, t_d_nm, t_g2_nm):
-        """``phase`` with each step's arg in closed form.
-
-        The derivatives follow ln r through each step by
-        d ln r' / d ln R = (n / n_out) g^2 R / r'.
-        """
-        cell, s, h = self._cell(wl)
-        c, powers = self._coatings[cell, :2], s[..., None] ** _POWERS
-        r, dr = (c * powers).sum(axis=-1), (c[..., 1:] * (_POWERS[1:] * powers[..., :-1])).sum(axis=-1)
-        arg_r, dln_r = self._arg_nodes[cell] + np.angle(r / c[..., 0]), dr / (h * r)
-        n, two_k = self._n, 4.0 * np.pi / wl
-        (r1, _, big_r1, g1), (r2, _, big_r2, g2) = _rest_steps(n, t_d_nm, t_g2_nm, wl, r[..., 1], 1.0)
-        gain1, gain2 = g1 * g1 * big_r1 / (n * r1), n * g2 * g2 * big_r2 / r2
-        phi = (arg_r[..., 0] + arg_r[..., 1] + two_k * (t_g2_nm + n.real * t_d_nm)
+        """``phase`` with each step's arg in closed form; its derivatives follow ln r through both steps (``_rest_slopes``)."""
+        cell, r, dr = self._coatings_at(wl, slice(0, 2))
+        arg_r, dln_r = self._arg_nodes[cell] + np.angle(r / self._coatings[cell, :2, 0]), dr / r
+        n, k = self._n, 2.0 * np.pi / wl
+        steps = _rest_steps(n, t_d_nm, t_g2_nm, wl, r[..., 1], 1.0)
+        (r1, _, big_r1, _), (r2, _, big_r2, _) = steps
+        phi = (arg_r[..., 0] + arg_r[..., 1] + 2.0 * k * (t_g2_nm + n.real * t_d_nm)
                + np.angle(r1 / big_r1) + np.angle(r2 / big_r2))
-        dln_plane = dln_r[..., 1] - 1j * two_k * t_g2_nm / wl
-        dphi_dwl = dln_r[..., 0].imag + (gain2 * (gain1 * dln_plane - 1j * two_k * n * t_d_nm / wl)).imag
-        return [phi, dphi_dwl, (gain2 * 1j * two_k * n).imag, (gain2 * gain1 * 1j * two_k).imag, r[..., 0], r2]
+        # d delta / d t_g2 of the second gap and d delta / d t_d of the membrane are k and k n
+        dln_rest, _, (gain1, gain2) = _rest_slopes(n, t_d_nm, t_g2_nm, wl, steps, dln_r[..., 1], 0.0)
+        return [phi, (dln_r[..., 0] + dln_rest).imag, (2j * k * n * gain2).imag, (2j * k * gain2 * gain1).imag, r[..., 0], r2]
 
     def phase(self, wl_nm, t_d_nm=None, t_g2_nm=None):
         """[phi, dphi/dlambda, dphi/dt_d, dphi/dt_g2, r_fiber, r_rest] of both mirrors; t_d, t_g2 the assembly's by default.
@@ -177,7 +185,7 @@ class PhaseModel:
 
     def coating_transmittance(self, wl_nm):
         """Re(n_sub) |t|^2 of the fiber and the plane coating (last axis) from the gap; at a node the sweep's own."""
-        return self._n_substrate.real * np.abs(_at(self._coatings[:, 2:], *self._cell(np.asarray(wl_nm, dtype=float))[:2])) ** 2
+        return self._n_substrate.real * np.abs(self._coatings_at(np.asarray(wl_nm, dtype=float), slice(2, 4))[1]) ** 2
 
     def transmission(self, wl_nm, gap_nm):
         """Power transmission of the whole cavity at the assembly's t_d, t_g2; ``gap_nm`` broadcasts against ``wl_nm``.
@@ -185,12 +193,32 @@ class PhaseModel:
         t = t_1 t_rest e^{ik t_g} / (1 - r_1 r_rest e^{2ik t_g}) across the air gap, t_1 = n_sub t_from_gap (reciprocity).
         """
         wl = np.asarray(wl_nm, dtype=float)
-        cell, s, _ = self._cell(wl)
-        r_fiber, r_plane, t_fiber, t_plane = np.moveaxis(_at(self._coatings, cell, s), -1, 0)
+        r_fiber, r_plane, t_fiber, t_plane = np.moveaxis(self._coatings_at(wl)[1], -1, 0)
         r_rest, t_rest, _, _ = _rest_steps(self._n, self.t_d_nm, self.t_g2_nm, wl, r_plane, t_plane)[1]
         round_trip = r_fiber * r_rest * np.exp(4j * np.pi * np.asarray(gap_nm, dtype=float) / wl)
         n_fiber, n_plane = self._n_substrate
         return n_plane.real / n_fiber.real * np.abs(n_fiber * t_fiber * t_rest) ** 2 / np.abs(1.0 - round_trip) ** 2
+
+    def transmission_slope(self, wl_nm, gap_nm):
+        """h = |D|^2 d ln T / d lambda at the assembly's t_d, t_g2; ``gap_nm`` broadcasts against ``wl_nm``.
+
+        T is |N|^2 / |D|^2 up to a constant (``transmission``), N = t_1 t_rest e^{ik t_g} and
+        D = 1 - r_1 r_rest e^{2ik t_g}, so h = 2 Re(N'/N) |D|^2 - 2 Re(conj(D) D') has the sign of
+        dT / d lambda.  Near a peak it is about -2 rho Phi' (Phi - 2 pi m), rho = |r_1 r_rest|: it
+        varies on the scale of the FSR, not of the linewidth.
+        """
+        wl = np.asarray(wl_nm, dtype=float)
+        _, coatings, slopes = self._coatings_at(wl)
+        r_fiber, r_plane, _, t_plane = np.moveaxis(coatings, -1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # an opaque coating's t is 0: h is NaN, T has no maximum
+            dln_r_fiber, dln_r_plane, dln_t_fiber, dln_t_plane = np.moveaxis(slopes / coatings, -1, 0)
+        steps = _rest_steps(self._n, self.t_d_nm, self.t_g2_nm, wl, r_plane, t_plane)
+        dln_r_rest, dln_t_rest, _ = _rest_slopes(self._n, self.t_d_nm, self.t_g2_nm, wl, steps, dln_r_plane, dln_t_plane)
+        two_ikg = 4j * np.pi * np.asarray(gap_nm, dtype=float) / wl
+        round_trip = r_fiber * steps[1][0] * np.exp(two_ikg)
+        d = 1.0 - round_trip
+        return 2.0 * ((dln_t_fiber + dln_t_rest).real * np.abs(d) ** 2
+                      + (np.conj(d) * round_trip * (dln_r_fiber + dln_r_rest - two_ikg / wl)).real)
 
     def mirror_phase(self, wl_nm):
         return self.phase(wl_nm)[0] + 2.0 * np.pi * self.turns
@@ -203,17 +231,12 @@ class PhaseModel:
         return np.round(self.round_trip_phase(wl_nm, gap_nm) / (2.0 * np.pi) - 1.0).astype(int)
 
     def linewidth_nm(self, wl_nm, gap_nm):
-        """Airy FWHM estimate from the round-trip amplitude |r_L r_R| and the group length; vectorized."""
+        """Airy FWHM estimate from |r_L r_R| and the group length's magnitude (it is < 0 where Phi rises); vectorized."""
         wl = np.asarray(wl_nm, dtype=float)
         _, dphi, _, _, r_fiber, r_rest = self.phase(wl)
         rho = np.minimum(np.abs(r_fiber * r_rest), 1.0 - 1e-12)
-        fsr = wl**2 / (2.0 * (gap_nm - dphi * wl**2 / (4.0 * np.pi)))
+        fsr = wl**2 / (2.0 * np.abs(gap_nm - dphi * wl**2 / (4.0 * np.pi)))
         return fsr * (1.0 - rho) / (np.pi * np.sqrt(rho))
-
-    def tuning_slope(self, wl_nm, gap_nm):
-        """d lambda / d t_g of the resonance through (wl, gap), -(dPhi/dt_g) / (dPhi/dlambda); vectorized."""
-        wl = np.asarray(wl_nm, dtype=float)
-        return -(4.0 * np.pi / wl) / (self.phase(wl)[1] - 4.0 * np.pi * gap_nm / wl**2)
 
     # -- solving --------------------------------------------------------------
 
@@ -234,8 +257,11 @@ class PhaseModel:
 
         Per row the root is in the window's first node cell where the gap
         that puts q on resonance (``solve_gap``) crosses ``gap_nm`` or equals
-        it at a node; Newton solves it there.  A row without one is not
-        ``found``, and its wavelength is NaN.
+        it at a node; Newton solves it there.  A row takes that first crossing
+        only, and where Phi turns inside one cell, a second crossing of the
+        same order there is not found; the callers work in the stop band, where
+        Phi does not turn.  A row without a crossing is not ``found``, and its
+        wavelength is NaN.
         """
         in_window = slice(None) if window is None else slice(np.searchsorted(self.wl, window[0], side="left"),
                                                              np.searchsorted(self.wl, window[1], side="right"))

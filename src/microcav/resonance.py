@@ -12,12 +12,12 @@ PRA 92, 043844 (2015)).  It is the one model of the cavity's response:
   Airy composition ``t = t1 t2 e^{ik t_g} / (1 - r1 r2 e^{2ik t_g})``;
   ``dispersion_map`` broadcasts it over a gap x wavelength grid;
 * the round-trip phase is ``Phi = 4 pi t_g / lambda + arg r1(lambda) +
-  arg r2(lambda)``; a mode of order q resonates where ``Phi = 2 pi (q + 1)``;
-* ``find_resonances`` solves that condition for every order in the window
-  and every gap at once, by a sign scan over the nodes and Newton steps,
-  then moves each root to the transmission maximum next to it (a
-  three-point parabola on log T), so a resonance is a transmission maximum
-  labelled by its root's order;
+  arg r2(lambda)``; a mode of order q resonates where ``Phi = 2 pi (q + 1)``,
+  which the dispersion fit and the operating point solve;
+* ``find_resonances`` returns the transmission maxima themselves, for every
+  gap at once: a sign scan of the analytic slope |D|^2 d ln T / d lambda
+  over the nodes brackets each maximum, false position solves it, and it
+  is labelled by the order round(Phi / 2 pi) - 1 there;
 * ``StandingWave`` builds the field at every gap of a sweep from three
   per-layer solves of the same two halves (the fiber coating driven from
   either side, the rest driven from the gap), joined through the gap's
@@ -47,6 +47,11 @@ from .stack import AIR, CavityAssembly, GeometryError, Layer, split_at_gap
 from .tmm import _wave_amplitudes, amplitude_coefficients  # noqa: F401
 
 
+# Illinois false position on the transmission slope stops once a bracket's step is below the tolerance
+_SECANT_STEPS = 60
+_SECANT_TOL_NM = 1e-9
+
+
 class OffResonanceError(RuntimeError):
     """Field-based quantities requested too far from a resonance."""
 
@@ -65,11 +70,10 @@ class ResonancePoint:
 
 
 def classify_character(pm: PhaseModel, gap_nm, wl_nm) -> np.ndarray:
-    """Air-like / diamond-like / mixed from the dispersion slope d lambda/d t_g; vectorized."""
-    wl = np.asarray(wl_nm, dtype=float)
-    slope = np.abs(pm.tuning_slope(wl, gap_nm))
+    """Air-like / diamond-like / mixed from the dispersion slope |d lambda / d t_g| = |dPhi/dt_g / dPhi/dlambda|."""
+    wl, four_pi_gap = np.asarray(wl_nm, dtype=float), 4.0 * np.pi * np.asarray(gap_nm, dtype=float)
     # reference: slope wl / gap of an empty cavity of length gap, multiplied out so gap 0 is valid
-    length = slope * np.asarray(gap_nm, dtype=float)
+    length = four_pi_gap / wl / np.abs(pm.phase(wl)[1] - four_pi_gap / wl**2)
     return np.where(length >= 0.60 * wl, "air-like", np.where(length <= 0.25 * wl, "diamond-like", "mixed"))
 
 
@@ -79,12 +83,15 @@ def find_resonances(
     wavelength_window: tuple[float, float],
     rel_prominence: float = 1e-3,
 ) -> list[ResonancePoint]:
-    """All transmission maxima in the window, for one gap or an array of gaps.
+    """All transmission maxima in the window, for one gap or an array of gaps, in order of gap, then wavelength.
 
-    One PhaseModel serves every gap.  Every integer q between the two values
-    of Phi/2pi - 1 at the ends of a node cell (cut in two where Phi turns) has
-    a root there, which Newton solves from the cell's secant and
-    ``_transmission_maxima`` moves to the transmission maximum.
+    One PhaseModel serves every gap.  ``PhaseModel.transmission_slope`` h has
+    the sign of dT/dlambda; each node cell where it goes from > 0 to <= 0
+    brackets one maximum of T, while the FSR spans more than two cells, and
+    Illinois false position on h solves every bracket at once.  A maximum
+    is labelled with its mode order q = round(Phi/2pi) - 1, so where Phi
+    turns two maxima may share a label.  A maximum whose T is below
+    ``rel_prominence`` times the largest T in the window at its gap is dropped.
     """
     lo, hi = wavelength_window
     if not hi > lo:
@@ -94,67 +101,33 @@ def find_resonances(
         raise GeometryError("gaps must be >= 0")
     pm = PhaseModel(assembly, lo - 5.0, hi + 5.0)
 
-    # the node cells that overlap the window, as (gap, ends, Phi/2pi - 1 at the ends)
-    i0 = max(int(np.searchsorted(pm.wl, lo, side="right")) - 1, 0)
-    i1 = min(int(np.searchsorted(pm.wl, hi, side="left")), pm.wl.size - 1)
-    x = pm.wl[i0:i1 + 1]
-    phi, dphi = pm.phase(x)[:2]
-    order = (4.0 * np.pi * gaps[:, None] / x + phi + 2.0 * np.pi * pm.turns) / (2.0 * np.pi) - 1.0
-    rate = dphi - 4.0 * np.pi * gaps[:, None] / x**2
-    g_idx, cell = np.divmod(np.arange(order.size - gaps.size), x.size - 1)
-    a, b, oa, ob = x[cell], x[cell + 1], order[:, :-1].ravel(), order[:, 1:].ravel()
-    # where Phi turns inside a cell, one order may cross it twice: the cell is cut
-    # in two at the turn, found by a secant on dPhi/dlambda
-    t = np.flatnonzero(np.signbit(rate[:, :-1]) != np.signbit(rate[:, 1:]))
-    r0, r1 = rate[:, :-1].ravel()[t], rate[:, 1:].ravel()[t]
-    cut = a[t] + (b[t] - a[t]) * r0 / (r0 - r1)
-    o_cut = pm.round_trip_phase(cut, gaps[g_idx[t]]) / (2.0 * np.pi) - 1.0
-    g_idx, a, oa, b, ob = (np.append(v, extra) for v, extra in
-                           ((g_idx, g_idx[t]), (a, cut), (oa, o_cut), (b, b[t]), (ob, ob[t])))
-    b[t], ob[t] = cut, o_cut
-
-    q_first = np.ceil(np.minimum(oa, ob))
-    count = (np.ceil(np.maximum(oa, ob)) - q_first).astype(int)
-    seg = np.flatnonzero(count > 0)
-    n = count[seg]
-    # a cell holds more than one order only on a grid coarser than the FSR
-    q = np.repeat(q_first[seg], n) + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    seg = np.repeat(seg, n)
-    g_idx, a, b, oa, ob = g_idx[seg], a[seg], b[seg], oa[seg], ob[seg]
-    root = pm.newton(q - pm.turns, gaps[g_idx], a + (b - a) * (oa - q) / (oa - ob), a, b)
-    return _transmission_maxima(pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)
-
-
-def _transmission_maxima(pm, gaps, g_idx, q, root, wavelength_window, rel_prominence: float) -> list[ResonancePoint]:
-    """Roots of orders q at ``gaps[g_idx]``, moved to the transmission maxima and labelled with q and their character.
-
-    Each root moves by a parabola on log T at +-linewidth/60 (T, the linewidth
-    and the tuning slope from ``pm``).  A resonance outside the window, or whose T
-    at the root is below ``rel_prominence`` times the largest T at its gap,
-    is dropped.  The list runs in order of gap, then wavelength.
-    """
-    lo, hi = wavelength_window
+    # the node cells that overlap the window, at every gap
+    i0, i1 = np.searchsorted(pm.wl, [lo, hi])
+    x = pm.wl[i0 - 1:i1 + 1]
+    slope = pm.transmission_slope(x, gaps[:, None])
+    g_idx, cell = np.nonzero((slope[:, :-1] > 0.0) & (slope[:, 1:] <= 0.0))
     gap = gaps[g_idx]
-    # three-point parabola on log T around each root.  Its bias from the
-    # peak's asymmetry grows as h^2: on a broad mode 50 nm from the coating's
-    # design wavelength it is 6e-6 nm at +-linewidth/6, 6e-8 nm at /60
-    h = pm.linewidth_nm(root, gap) / 60.0
-    logt = np.log(np.maximum(pm.transmission(root[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]), gap[:, None]),
-                             1e-300))
-    curv = logt[:, 0] - 2.0 * logt[:, 1] + logt[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(curv < 0.0, 0.5 * (logt[:, 0] - logt[:, 2]) / curv, 0.0)
-    wl_res = root + shift * h
+    # (b, fb) is the newest point, (a, fa) its bracket's other end, halved when kept twice in a row.  Each
+    # bracket stops on its own step, so a maximum does not depend on which other gaps were asked for
+    a, b, fa, fb = x[cell], x[cell + 1], slope[g_idx, cell], slope[g_idx, cell + 1]
+    moving = np.ones(cell.shape, dtype=bool)
+    for _ in range(_SECANT_STEPS):
+        if not moving.any():
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        fc = pm.transmission_slope(c, gap)
+        crossed = (fc > 0.0) != (fb > 0.0)
+        a, fa = np.where(moving & crossed, b, a), np.where(moving, np.where(crossed, fb, 0.5 * fa), fa)
+        b, fb, moving = np.where(moving, c, b), np.where(moving, fc, fb), moving & (np.abs(c - b) >= _SECANT_TOL_NM)
 
-    keep = (wl_res > lo) & (wl_res < hi)
-    g_idx, q, gap, wl_res, logt0 = g_idx[keep], q[keep], gap[keep], wl_res[keep], logt[keep, 1]
-    tallest = np.full(gaps.size, -np.inf)
-    np.maximum.at(tallest, g_idx, logt0)
-    keep = logt0 >= np.log(rel_prominence) + tallest[g_idx]
-    g_idx, q, gap, wl_res = g_idx[keep], q[keep], gap[keep], wl_res[keep]
-    character = classify_character(pm, gap, wl_res)
-    return [ResonancePoint(float(gap[i]), float(wl_res[i]), int(q[i]), str(character[i]))
-            for i in np.lexsort((wl_res, g_idx))]
+    inside = (b > lo) & (b < hi)
+    t = np.where(inside, pm.transmission(b, gap), 0.0)
+    tallest = np.zeros(gaps.size)
+    np.maximum.at(tallest, g_idx, t)
+    keep = inside & (t >= rel_prominence * tallest[g_idx])
+    gap, wl = gap[keep], b[keep]
+    return [ResonancePoint(float(g), float(w), int(q), str(c))
+            for g, w, q, c in zip(gap, wl, pm.mode_order(wl, gap), classify_character(pm, gap, wl))]
 
 
 @dataclass(frozen=True)

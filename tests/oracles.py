@@ -18,7 +18,9 @@ the fiber-side gap; these are independent references:
   cavity at one gap, and L_eff, the emitter overlap and the
   membrane-interface weight read from it layer by layer;
 * ``GridPhaseModel``: the mirrors' phase on a dense grid, linear between
-  nodes and rooted per cell in closed form, and ``grid_find_resonances``.
+  nodes and rooted per cell in closed form;
+* ``exact_transmission_maxima``: the local maxima of the exact split's T,
+  found on a grid and refined by golden section.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from microcav.phase import _ANCHOR_NM, _rest_steps
-from microcav.resonance import _transmission_maxima
 from microcav.stack import AIR, CavityAssembly, Layer, LayerStack, split_at_gap
 from microcav.tmm import amplitude_coefficients
 
@@ -361,7 +362,6 @@ class GridPhaseModel:
         phis = [(r, np.unwrap(np.angle(r))) for r in (split.r_fiber, split.r_rest)]
         self.phi_mirrors = sum(phi + 2.0 * np.pi * np.round((np.angle(r[i0]) % (2.0 * np.pi) - phi[i0]) / (2.0 * np.pi))
                                for r, phi in phis)
-        self.mag = np.abs(split.r_fiber * split.r_rest)
 
     def mirror_phase(self, wl_nm):
         return np.interp(wl_nm, self.wl, self.phi_mirrors)
@@ -371,17 +371,6 @@ class GridPhaseModel:
 
     def round_trip_phase(self, wl_nm, gap_nm):
         return 4.0 * np.pi * gap_nm / np.asarray(wl_nm, dtype=float) + self.mirror_phase(wl_nm)
-
-    def linewidth_nm(self, wl_nm, gap_nm):
-        rho = np.minimum(np.interp(wl_nm, self.wl, self.mag), 1.0 - 1e-12)
-        group_length = np.interp(wl_nm, self.wl, 0.5 * np.gradient(self.phi_mirrors, 2.0 * np.pi / self.wl))
-        return wl_nm**2 / (2.0 * (gap_nm + group_length)) * (1.0 - rho) / (np.pi * np.sqrt(rho))
-
-    def tuning_slope(self, wl_nm, gap_nm):
-        wl = np.asarray(wl_nm, dtype=float)
-        i = np.clip(np.searchsorted(self.wl, wl, side="right") - 1, 0, self.wl.size - 2)
-        dphi = (self.phi_mirrors[i + 1] - self.phi_mirrors[i]) / (self.wl[i + 1] - self.wl[i])
-        return -(4.0 * np.pi / wl) / (dphi - 4.0 * np.pi * gap_nm / wl**2)
 
     def solve_wavelengths(self, q, gap_nm, window=None):
         """(wavelengths, found): per row the root on the window's first cell where the phase miss changes sign or is 0 at a node."""
@@ -395,18 +384,40 @@ class GridPhaseModel:
         return np.where(found, _cell_roots(wl[i], wl[i + 1], phi[i], phi[i + 1], 2.0 * np.pi * (q + 1.0), gap), np.nan), found
 
 
-def grid_find_resonances(assembly: CavityAssembly, gap_nm, wavelength_window, rel_prominence=1e-3, step_nm=0.02):
-    """``find_resonances`` on a ``GridPhaseModel``: every order crossing of a grid cell, rooted by ``_cell_roots``."""
+def exact_transmission_maxima(assembly: CavityAssembly, gap_nm, wavelength_window, rel_prominence=1e-3,
+                              step_nm=0.02, tol_nm=1e-11):
+    """(gaps, wavelengths) of the maxima of exact T (``SplitResponse``) in the window, in order of gap, then wavelength.
+
+    Every local maximum of T on a grid ``step_nm`` apart (one step past each end
+    of the window) is refined by golden section on exact T between its two grid
+    neighbours, to ``tol_nm``.  A maximum whose T is below ``rel_prominence``
+    times the largest T in the window at its gap is dropped.
+    """
     lo, hi = wavelength_window
     gaps = np.atleast_1d(np.asarray(gap_nm, dtype=float))
-    pm = GridPhaseModel(assembly, lo - 5.0, hi + 5.0, step_nm)
-    i0 = max(int(np.searchsorted(pm.wl, lo, side="right")) - 1, 0)
-    i1 = min(int(np.searchsorted(pm.wl, hi, side="left")), pm.wl.size - 1)
-    x, phi = pm.wl[i0:i1 + 1], pm.phi_mirrors[i0:i1 + 1]
-    order = (4.0 * np.pi * gaps[:, None] / x + phi) / (2.0 * np.pi) - 1.0
-    low, high = np.ceil(np.minimum(order[:, :-1], order[:, 1:])), np.ceil(np.maximum(order[:, :-1], order[:, 1:]))
-    # every integer q with low <= q < high crosses the cell
-    crossings = [(g, c, q) for g, c in zip(*np.nonzero(high > low)) for q in range(int(low[g, c]), int(high[g, c]))]
-    g_idx, cell, q = np.array(crossings, dtype=int).reshape(-1, 3).T
-    root = _cell_roots(x[cell], x[cell + 1], phi[cell], phi[cell + 1], 2.0 * np.pi * (q + 1.0), gaps[g_idx])
-    return _transmission_maxima(pm, gaps, g_idx, q, root, wavelength_window, rel_prominence)
+    x = np.linspace(lo - step_nm, hi + step_nm, int(np.ceil((hi - lo) / step_nm)) + 3)
+    t = SplitResponse(assembly, x).transmission(gaps[:, None])
+    g_idx, i = np.nonzero((t[:, 1:-1] > t[:, :-2]) & (t[:, 1:-1] >= t[:, 2:]))
+    gap, a, b = gaps[g_idx], x[i], x[i + 2]
+
+    def exact(wl):
+        return SplitResponse(assembly, wl).transmission(gap)
+
+    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = exact(c), exact(d)
+    while a.size and np.max(b - a) > tol_nm:
+        left = fc > fd  # the maximum is in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - inv * (b - a), a + inv * (b - a))
+        f_new = exact(new)
+        c, fc, d, fd = (np.where(left, new, d), np.where(left, f_new, fd),
+                        np.where(left, c, new), np.where(left, fc, f_new))
+    wl = 0.5 * (a + b)
+    keep = (wl > lo) & (wl < hi)
+    g_idx, gap, wl = g_idx[keep], gap[keep], wl[keep]
+    peak = SplitResponse(assembly, wl).transmission(gap)
+    tallest = np.zeros(gaps.size)
+    np.maximum.at(tallest, g_idx, peak)
+    keep = peak >= rel_prominence * tallest[g_idx]
+    return gap[keep], wl[keep]

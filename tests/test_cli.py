@@ -181,6 +181,11 @@ class TestErrorPaths:
         assert not (tmp_path / "map.csv").exists()
         assert not (tmp_path / "resonances.json").exists()
 
+    def test_reversed_window_rejected_before_output(self, tmp_path, capsys):
+        assert run(tmp_path, "dispersion", "--wl-min", "750", "--wl-max", "720") == 1
+        assert "empty wavelength window" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
     def test_ragged_csv_rejected(self, tmp_path):
         bad = tmp_path / "ragged.csv"
         bad.write_text("1.0,2.0\n3.0,4.0,5.0\n")

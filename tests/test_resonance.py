@@ -6,7 +6,7 @@ import pytest
 
 from microcav import constants, metrics, tmm
 from microcav import stack as st
-from oracles import (FlatStandingWave, GridPhaseModel, SplitResponse, flatten_assembly, grid_find_resonances,
+from oracles import (FlatStandingWave, GridPhaseModel, SplitResponse, exact_transmission_maxima, flatten_assembly,
                      stack_response, transmission)
 from microcav.phase import _rest_steps
 from microcav.dispersion_fit import fit_dispersion
@@ -431,13 +431,34 @@ class TestPhaseRoots:
 
     def test_below_the_stop_band(self, membrane_assembly):
         # below 652 nm the default plane coating reflects too little for the
-        # closed-form phase to stay on one multiple of 2 pi
+        # closed-form phase to stay on one multiple of 2 pi; the modes are nm wide
         gaps, window = np.linspace(12_800.0, 14_400.0, 3), (600.0, 645.0)
-        ours, ref = find_resonances(membrane_assembly, gaps, window), grid_find_resonances(membrane_assembly, gaps, window)
-        assert len(ours) == 13
-        assert [(p.gap_nm, p.q_gap, p.character) for p in ours] == [(p.gap_nm, p.q_gap, p.character) for p in ref]
+        ours = find_resonances(membrane_assembly, gaps, window)
+        ref_gaps, ref_wls = exact_transmission_maxima(membrane_assembly, gaps, window)
+        assert len(ours) == 14
+        assert [p.gap_nm for p in ours] == ref_gaps.tolist()
+        np.testing.assert_allclose([p.wavelength_nm for p in ours], ref_wls, rtol=0.0, atol=1e-6)
+        grid = GridPhaseModel(membrane_assembly, *window)
+        assert [p.q_gap for p in ours] == np.round(grid.round_trip_phase(ref_wls, ref_gaps) / (2.0 * np.pi) - 1.0).tolist()
         gap, q = PhaseModel(membrane_assembly, 630.0, 650.0).retune_gap(640.0, membrane_assembly.gap_nm)
         assert (round(gap, 1), q) == (10_154.3, 34)
+
+    def test_maxima_where_the_phase_turns(self, membrane_assembly):
+        # at 13,200 nm Phi rises on 645.75-646.75 nm, so order 43 meets the phase
+        # condition three times near there; T has two maxima labelled 43, and none near 640.56 nm
+        points = find_resonances(membrane_assembly, 13_200.0, (640.0, 680.0))
+        ours = [p.wavelength_nm for p in points]
+        _, ref = exact_transmission_maxima(membrane_assembly, 13_200.0, (640.0, 680.0))
+        np.testing.assert_allclose(ours, ref, rtol=0.0, atol=1e-6)
+        assert [p.q_gap for p in points] == [43, 43, 42, 41, 40]
+        np.testing.assert_allclose(ours[:3], [644.288, 648.847, 653.604], rtol=0.0, atol=1e-3)
+        assert np.all(np.abs(np.array(ours) - 640.562) > 1.0)
+
+    def test_linewidth_is_positive_where_the_phase_turns(self, membrane_assembly):
+        # the group length is negative on 645.75-646.75 nm at 13,200 nm
+        pm = PhaseModel(membrane_assembly, 600.0, 690.0)
+        wl = pm.wl[(pm.wl >= 600.0) & (pm.wl <= 690.0)]
+        assert np.all(pm.linewidth_nm(wl, 13_200.0) > 0.0)
 
     def test_labels_do_not_depend_on_the_window(self, membrane_assembly):
         # the orders are anchored at one wavelength, so two windows that share
@@ -551,18 +572,24 @@ class TestSmoothPhase:
             ln_t_error = np.abs(np.log(pm.transmission(wl, gap_column) / SplitResponse(asm, wl).transmission(gap_column)))
             assert np.all(ln_t_error <= (1e-8 if window == _DESIGN_WINDOW else _ln_t_bound(asm, pm, wl, gap_column)))
 
-            # the resonances against the grid oracle's: the same labels and, where Phi falls
-            # across the whole window at every gap, each as close to those of a 5x finer grid
-            # (25x more accurate) as the oracle's.  Where Phi turns, a root near the turn sits on
-            # a flat log T, from where the parabola step to the peak is ill-conditioned.
-            ours, ref = find_resonances(asm, gaps, window), grid_find_resonances(asm, gaps, window)
-            assert [(p.gap_nm, p.q_gap, p.character) for p in ours] == [(p.gap_nm, p.q_gap, p.character) for p in ref]
-            x = grid.wl[(grid.wl >= window[0]) & (grid.wl <= window[1])]
-            if ours and np.all(np.diff(grid.round_trip_phase(x, gap_column)) < 0.0):
-                fine = grid_find_resonances(asm, gaps, window, step_nm=0.004)
-                assert len(fine) == len(ours)
-                ours, ref, fine = (np.array([p.wavelength_nm for p in points]) for points in (ours, ref, fine))
-                assert np.max(np.abs(ours - fine)) <= np.max(np.abs(ref - fine)) + 1e-9
+            # the resonances against the local maxima of exact T: the same gaps, the grid oracle's
+            # orders, and within 1e-6 nm around the design wavelength.  Elsewhere a model with
+            # |ln T - ln T_exact| <= B has its maximum where exact ln T is within 2B of its peak,
+            # so within 2 sqrt(B / kappa) of it, kappa = -d^2 ln T / d lambda^2 at the peak
+            ours = find_resonances(asm, gaps, window)
+            ref_gaps, ref_wls = exact_transmission_maxima(asm, gaps, window)
+            assert [p.gap_nm for p in ours] == ref_gaps.tolist()
+            assert [p.q_gap for p in ours] == np.round(grid.round_trip_phase(ref_wls, ref_gaps) / (2.0 * np.pi) - 1.0).tolist()
+            wls = np.array([p.wavelength_nm for p in ours])
+            if window == _DESIGN_WINDOW:
+                tolerance = 1e-6
+            else:
+                delta = 1e-5
+                ln_t = np.log(SplitResponse(asm, ref_wls + delta * np.array([[-1.0], [0.0], [1.0]])).transmission(ref_gaps))
+                kappa = -(ln_t[0] - 2.0 * ln_t[1] + ln_t[2]) / delta**2
+                bound = np.maximum(_ln_t_bound(asm, pm, wls, ref_gaps), _ln_t_bound(asm, pm, ref_wls, ref_gaps))
+                tolerance = 2.0 * np.sqrt(bound / kappa) + 1e-9
+            assert np.all(np.abs(wls - ref_wls) <= tolerance)
 
         check()
 
@@ -690,6 +717,7 @@ class TestStandingWave:
             warnings.simplefilter("error")
             pm = PhaseModel(opaque, 730.0, 745.0)
             assert np.all(np.isfinite(pm.linewidth_nm(pm.wl, 10_000.0)))
+            assert find_resonances(opaque, 10_000.0, (730.0, 745.0)) == []
         with pytest.raises(ValueError, match="a coating is opaque"):
             StandingWave(opaque, 737.0, [10_000.0, 12_000.0])
 
