@@ -38,7 +38,8 @@ from .fitting import FitError
 from .purcell import (EmitterParams, LifetimeModel, beta_collection, fit_lifetime_model, load_emitter, operating_point,
                       predict_lifetime_curve)
 from .resonance import PhaseModel, dispersion_map, find_resonances
-from .scans import LockSynthConfig, LockTrace, ScanTrace, detect_scan_resonances, finesse_from_scan, length_deviation, noise_spectrum, synthesize_lock_traces
+from .scans import (LockSynthConfig, LockTrace, NoiseSpectrum, ScanTrace, detect_scan_resonances, finesse_from_scan, length_deviation,
+                    noise_spectrum, synthesize_lock_traces)
 from .spectral import SpectrumTrace, doublet_splitting_ghz, fit_cubic_temperature, fit_double_lorentzian_equal_width, fit_lorentzian
 from .stack import default_assembly, default_assembly_config, load_assembly
 
@@ -276,9 +277,8 @@ def cmd_fit_lifetime(args) -> int:
 
 def cmd_analyze_scan(args) -> int:
     inputs: list = []
-    cols = io.read_columns(_input(inputs, args.data), 1, 2)
-    y = cols[:, -1]
-    trace = ScanTrace(y)
+    # a contiguous copy of the signal column, so the columns read are freed
+    trace = ScanTrace(io.read_columns(_input(inputs, args.data), 1, 2)[:, -1].copy())
     peaks = detect_scan_resonances(trace, prominence=args.prominence)
     payload: dict = {
         "meta": _provenance(args, inputs),
@@ -300,33 +300,52 @@ def cmd_analyze_scan(args) -> int:
 
 
 def _lock_trace_from_csv(path: str, args, state: str) -> LockTrace:
+    # contiguous copies of the two columns, each freed on its own; the
+    # columns read are freed before the trace is checked
     cols = io.read_columns(path, 2)
-    return LockTrace(cols[:, 0], cols[:, 1], args.wavelength, args.finesse, args.setpoint, state)
+    time_s, transmission = cols[:, 0].copy(), cols[:, 1].copy()
+    del cols
+    return LockTrace(time_s, transmission, args.wavelength, args.finesse, args.setpoint, state)
+
+
+def _analyze_lock_state(path: str, args, state: str) -> tuple[dict, NoiseSpectrum]:
+    """One state's deviation statistics and noise spectrum.
+
+    The trace is freed once the deviations are found, and the deviations
+    when the spectrum is.  The spectrum is taken of the deviations less
+    their mean, clipped samples set to 0, computed in place.
+    """
+    trace = _lock_trace_from_csv(path, args, state)
+    rate_hz = trace.rate_hz
+    dev = length_deviation(trace)
+    summary = {"sigma_pm": dev.sigma_pm, "n_clipped": dev.n_clipped, "linewidth_pm": dev.linewidth_pm}
+    delta = dev.delta_pm
+    del trace, dev
+    clipped = np.isnan(delta)
+    delta -= np.nanmean(delta)
+    delta[clipped] = 0.0
+    spectrum = noise_spectrum(delta, rate_hz)
+    summary["spectral_peaks"] = spectrum.peaks
+    print(f"{state}: sigma = {summary['sigma_pm']:.1f} pm ({summary['n_clipped']} clipped), "
+          f"lines at {[round(f, 1) for f, _ in spectrum.peaks][:5]} Hz")
+    return summary, spectrum
 
 
 def cmd_analyze_lock(args) -> int:
     inputs: list = []
     for p in (args.unlocked, args.locked):
         _input(inputs, p)
-    out = _outdir(args)
-    results = {}
+    # both states are analysed before anything is written, so a bad second
+    # file leaves no partial output
+    results, spectra = {}, {}
     for state, path in (("unlocked", args.unlocked), ("locked", args.locked)):
-        trace = _lock_trace_from_csv(path, args, state)
-        dev = length_deviation(trace)
-        filled = np.where(np.isnan(dev.delta_pm), 0.0, dev.delta_pm - np.nanmean(dev.delta_pm))
-        spectrum = noise_spectrum(filled, trace.rate_hz)
-        io.write_csv(out / f"asd_{state}.csv", ["freq_hz", "asd_pm_per_rthz"], columns=[spectrum.freq_hz, spectrum.asd])
-        results[state] = {
-            "sigma_pm": dev.sigma_pm,
-            "n_clipped": dev.n_clipped,
-            "linewidth_pm": dev.linewidth_pm,
-            "spectral_peaks": spectrum.peaks,
-        }
-        print(f"{state}: sigma = {dev.sigma_pm:.1f} pm ({dev.n_clipped} clipped), "
-              f"lines at {[round(f, 1) for f, _ in spectrum.peaks][:5]} Hz")
+        results[state], spectra[state] = _analyze_lock_state(path, args, state)
     suppression = 1.0 - results["locked"]["sigma_pm"] / results["unlocked"]["sigma_pm"]
     results["suppression"] = suppression
     print(f"suppression: {100 * suppression:.1f}% of length fluctuations")
+    out = _outdir(args)
+    for state, spectrum in spectra.items():
+        io.write_csv(out / f"asd_{state}.csv", ["freq_hz", "asd_pm_per_rthz"], columns=[spectrum.freq_hz, spectrum.asd])
     io.write_json(out / "lock_analysis.json", {
         "meta": _provenance(args, inputs),
         **results,

@@ -94,7 +94,11 @@ def _read_rows(path: str | Path, n_min: int, n_max: int) -> np.ndarray:
 
 # rows of ``columns`` turned into text and written at a time: bounds the
 # strings held in memory, whatever the length of the columns
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 512
+
+# a float column with at most this many distinct bit patterns formats each
+# pattern once, into a table of texts
+_TABLE_ROWS = 4096
 
 
 def write_csv(path: str | Path, header: list[str], rows=(), *, columns=None) -> None:
@@ -121,22 +125,26 @@ def write_csv(path: str | Path, header: list[str], rows=(), *, columns=None) -> 
 def _column_text(column: np.ndarray):
     """A function of (start, stop) listing ``str()`` of each value of column[start:stop].
 
-    A float column with at most _CHUNK_ROWS distinct bit patterns (the gap
+    A float column with at most _TABLE_ROWS distinct bit patterns (the gap
     and wavelength columns of a dispersion map) formats each pattern once,
-    into a table no longer than a chunk, and indexes it; -0.0 and each NaN
-    keep their own text.
+    into a table, and looks up each chunk's patterns in it; -0.0 and each
+    NaN keep their own text.  A column whose first _TABLE_ROWS + 1 values
+    are all distinct has more patterns than that, so it is not sorted.
     """
     if column.ndim != 1 or column.dtype.kind not in "biuf":
         raise TypeError(f"columns must be 1-D numeric arrays, got {column.dtype} with shape {column.shape}")
     if column.dtype.kind == "f" and column.itemsize <= 8:
         bits = column.view(f"u{column.itemsize}")
-        ordered = np.sort(bits)
-        distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-        if distinct.size <= _CHUNK_ROWS:
+        if _distinct(bits[: _TABLE_ROWS + 1]).size <= _TABLE_ROWS and (distinct := _distinct(bits)).size <= _TABLE_ROWS:
             table = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
-            index = np.searchsorted(distinct, bits)
-            return lambda start, stop: table[index[start:stop]].tolist()
+            return lambda start, stop: table[np.searchsorted(distinct, bits[start:stop])].tolist()
     return lambda start, stop: list(map(str, column[start:stop].tolist()))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending."""
+    ordered = np.sort(values)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -17,11 +17,17 @@ def find_peaks(x, height: float | None = None, prominence: float | None = None):
     """(indices, prominences, widths) of the peaks with x >= height and prominence >= prominence.
 
     Prominences and widths are None unless ``prominence`` is given.
+
+    Working set of the peak search: about 2.5 arrays of x's length (the
+    differences, the indices of the nonzero ones and two boolean masks);
+    the prominence and width pass adds arrays as long as the peak list.
+    x is not modified.
     """
     x = np.asarray(x, dtype=float)
     dx = np.diff(x)
     steps = np.flatnonzero(dx)
-    rising = dx[steps] > 0
+    rising = (dx > 0)[steps]
+    del dx
     at = np.flatnonzero(rising[:-1] & ~rising[1:])
     peaks = (steps[at] + 1 + steps[at + 1]) // 2
     if height is not None:

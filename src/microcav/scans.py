@@ -173,19 +173,28 @@ def length_deviation(trace: LockTrace) -> LengthDeviation:
     they are reported NaN and excluded from sigma.  (Excursions past the
     peak onto the far fringe side are inherently ambiguous and map onto
     the lock side; that is the side-of-fringe method's blind spot.)
+
+    Working set: about three arrays of the trace's length (the deviations,
+    the invertible ones and ``np.std``'s scratch).  The trace is not
+    modified: ``delta_pm`` is a new array and ``time_s`` the trace's own.
     """
     dl = trace.linewidth_pm()
     s = trace.setpoint_fraction
-    t_max = _median(trace.transmission) / s
-    delta_set = 0.5 * dl * np.sqrt(1.0 / s - 1.0)
     y = trace.transmission
+    t_max = _median(y) / s
+    delta_set = 0.5 * dl * np.sqrt(1.0 / s - 1.0)
+    # 0.5 dl sqrt(t_max / y - 1) - delta_set, step by step in one array
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = t_max / y - 1.0
-        delta = 0.5 * dl * np.sqrt(ratio) - delta_set
-    clipped = (y <= 0.0) | (ratio < 0.0)
-    delta = np.where(clipped, np.nan, delta)
+        delta = t_max / y
+        delta -= 1.0
+        clipped = y <= 0.0
+        clipped |= delta < 0.0
+        np.sqrt(delta, out=delta)
+        delta *= 0.5 * dl
+        delta -= delta_set
+    delta[clipped] = np.nan
     n_clipped = int(np.count_nonzero(clipped))
-    good = delta[~np.isnan(delta)]
+    good = delta[~clipped]
     if good.size < 2:
         raise ValueError("too few invertible samples on the fringe")
     return LengthDeviation(
@@ -234,9 +243,14 @@ def noise_spectrum(series_pm, sample_rate_hz: float | None = None, time_s=None) 
     Provide either ``sample_rate_hz`` or a uniform ``time_s`` axis
     (non-uniform axes are rejected).  Spectral lines exceeding
     ``_LINE_THRESHOLD`` times the median ASD are returned in ``peaks``.
+
+    Working set: about three arrays of the series' length (its windowed
+    copy and its complex spectrum, then the PSD, the ASD and the frequency
+    axis).  Neither ``series_pm`` nor ``time_s`` is modified.
     """
     x = np.asarray(series_pm, dtype=float)
-    if x.size < 256:
+    n = x.size
+    if n < 256:
         raise ValueError("need at least 256 samples")
     if sample_rate_hz is None:
         if time_s is None:
@@ -247,12 +261,16 @@ def noise_spectrum(series_pm, sample_rate_hz: float | None = None, time_s=None) 
             raise ValueError("non-uniform sampling")
         sample_rate_hz = 1.0 / float(np.mean(dt))
 
+    # each step writes into an array made here: x - mean(x) is windowed in
+    # place, and the spectrum's magnitude becomes the PSD in place
     x = x - np.mean(x)
-    n = x.size
-    w = np.hanning(n)
-    spec = np.fft.rfft(x * w)
+    window_power = _hann_weighted(x)
+    psd = np.abs(np.fft.rfft(x))
+    del x
     # density normalization: sum(PSD) * df == windowed sample variance
-    psd = 2.0 * np.abs(spec) ** 2 / (sample_rate_hz * np.sum(w**2))
+    psd **= 2
+    psd *= 2.0
+    psd /= sample_rate_hz * window_power
     psd[0] /= 2.0
     if n % 2 == 0:
         psd[-1] /= 2.0
@@ -269,6 +287,24 @@ def noise_spectrum(series_pm, sample_rate_hz: float | None = None, time_s=None) 
             power = float(np.sum(psd[lo:hi]) * df)
             peaks.append((float(freq[i]), float(np.sqrt(2.0 * power))))
     return NoiseSpectrum(freq_hz=freq, asd=asd, peaks=peaks)
+
+
+def _hann_weighted(x: np.ndarray) -> float:
+    """Multiply x in place by ``np.hanning(x.size)``; return the window's sum of squares.
+
+    The window is ``np.hanning``'s arithmetic, bit for bit, done in one
+    array: 0.5 + 0.5 cos(pi k / (M - 1)) for k = 1 - M, 3 - M, ..., M - 1.
+    """
+    m = float(x.size)
+    w = np.arange(1.0 - m, m, 2.0)
+    w *= np.pi
+    w /= m - 1.0
+    np.cos(w, out=w)
+    w *= 0.5
+    w += 0.5
+    x *= w
+    w *= w
+    return float(np.sum(w))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,20 @@ def layer_points(monkeypatch):
     for module in (tmm, resonance, phase):
         monkeypatch.setattr(module, "amplitude_coefficients", counted)
     return calls
+
+
+@pytest.fixture()
+def traced_peak():
+    """peak(f, *args, **kwargs): the most bytes that f's call held allocated at once, by tracemalloc.
+
+    Counts only what the call allocates, not the arguments it was given.
+    """
+    def peak(f, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            f(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -186,6 +186,18 @@ class TestErrorPaths:
         assert "empty wavelength window" in capsys.readouterr().err
         assert not (tmp_path / "map.csv").exists()
 
+    def test_bad_second_lock_file_leaves_no_output(self, tmp_path, capsys):
+        assert run(tmp_path, "synth", "lock") == 0
+        lines = (tmp_path / "lock_locked.csv").read_text().splitlines(keepends=True)
+        lines[1000] = "0.05,nan\n"
+        bad = tmp_path / "bad_locked.csv"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(tmp_path, "analyze-lock", "--unlocked", str(tmp_path / "lock_unlocked.csv"), "--locked", str(bad)) == 1
+        assert "line 1001: non-finite value" in capsys.readouterr().err
+        assert not list(tmp_path.glob("asd_*.csv"))
+        assert not (tmp_path / "lock_analysis.json").exists()
+
     def test_ragged_csv_rejected(self, tmp_path):
         bad = tmp_path / "ragged.csv"
         bad.write_text("1.0,2.0\n3.0,4.0,5.0\n")
@@ -254,6 +266,25 @@ class TestMetricsCommand:
             assert meta["membrane_loss_ppm"] == 500.0
             assert not {"mirror_transmission_ppm", "membrane_excess_loss_ppm"} & set(meta["constants"])
         assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 500.0
+
+
+class TestLabWorkingSet:
+    """Most bytes a lab command holds at once, in record lengths (rows x 8 B)."""
+
+    def test_analyze_lock(self, tmp_path, traced_peak):
+        # one state's arrays at a time, computed in arrays the analysis made
+        assert run(tmp_path, "synth", "lock") == 0
+        record = 8 * io.read_columns(tmp_path / "lock_locked.csv", 2).shape[0]
+        files = ["--unlocked", str(tmp_path / "lock_unlocked.csv"), "--locked", str(tmp_path / "lock_locked.csv")]
+        assert traced_peak(run, tmp_path, "analyze-lock", *files) <= 8 * record
+        assert (tmp_path / "lock_analysis.json").exists()
+
+    def test_analyze_scan(self, tmp_path, traced_peak):
+        # the signal column alone, once the columns read are freed
+        assert run(tmp_path, "synth", "scan") == 0
+        record = 8 * io.read_columns(tmp_path / "scan.csv", 2).shape[0]
+        assert traced_peak(run, tmp_path, "analyze-scan", "--data", str(tmp_path / "scan.csv")) <= 4 * record
+        assert (tmp_path / "scan_analysis.json").exists()
 
 
 class TestEmptyCavityPurcell:

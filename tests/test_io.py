@@ -3,7 +3,6 @@ write_csv against csv.writer."""
 
 import csv
 import io as stdio
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,10 +199,15 @@ class TestWriteCsvMatchesCsvWriter:
         expected = csv_writer_bytes(header, ([p.to_row()[k] for k in header] for p in points))
         assert (tmp_path / "purcell.csv").read_bytes() == expected
 
-    @pytest.mark.parametrize("n", [0, 1, io._CHUNK_ROWS - 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, io._CHUNK_ROWS - 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1,
+                                   io._TABLE_ROWS - 1, io._TABLE_ROWS, io._TABLE_ROWS + 1, 3 * io._TABLE_ROWS])
     def test_edge_columns(self, tmp_path, rng, n):
         # each repeating column is formatted once per distinct bit pattern;
-        # the all-distinct one, past one chunk, per value
+        # the all-distinct one, past the table's size, per value.  The last
+        # column repeats for _TABLE_ROWS values, then turns distinct: its
+        # first _TABLE_ROWS + 1 values pass the probe, and the whole column
+        # then has too many patterns
+        first = min(n, io._TABLE_ROWS)
         columns = {
             "signed_zeros": np.resize([0.0, -0.0, 2.5], n),
             "non_finite": np.resize([np.nan, np.inf, -np.inf, -np.nan, 1e-300], n),
@@ -211,6 +215,7 @@ class TestWriteCsvMatchesCsvWriter:
             "float32": rng.standard_normal(n).astype(np.float32),
             "float32_repeating": np.resize(np.float32([0.1, -0.0, 3.0]), n),
             "distinct": rng.standard_normal(n),
+            "repeat_then_distinct": np.concatenate((np.resize([0.5, -0.0, 7.25], first), rng.standard_normal(n - first))),
         }
         io.write_csv(tmp_path / "edge.csv", list(columns), columns=columns.values())
         expected = csv_writer_bytes(list(columns), zip(*(c.tolist() for c in columns.values())))
@@ -220,14 +225,18 @@ class TestWriteCsvMatchesCsvWriter:
         with pytest.raises(TypeError, match="numeric"):
             io.write_csv(tmp_path / "text.csv", ["a", "b"], columns=[np.arange(2), np.array(["x,y", "z"])])
 
-    def test_peak_memory_of_a_lock_trace(self, tmp_path, rng):
+    def test_peak_memory_of_a_lock_trace(self, tmp_path, rng, traced_peak):
         # a 131,072-row lock trace: the writer holds one chunk of text at a
         # time, not every row as Python floats and strings at once
         time_s, transmission = np.arange(131_072) * 1e-6, rng.random(131_072)
-        tracemalloc.start()
-        try:
-            io.write_csv(tmp_path / "lock.csv", ["time_s", "transmission"], columns=[time_s, transmission])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(io.write_csv, tmp_path / "lock.csv", ["time_s", "transmission"], columns=[time_s, transmission])
         assert peak < 8e6
+
+    def test_distinct_column_is_not_sorted(self, tmp_path, rng, monkeypatch):
+        # a column whose first _TABLE_ROWS + 1 values are all distinct goes
+        # to the per-value path after sorting only those
+        sorted_sizes = []
+        sort = np.sort
+        monkeypatch.setattr(io.np, "sort", lambda a: sorted_sizes.append(a.size) or sort(a))
+        io.write_csv(tmp_path / "asd.csv", ["asd"], columns=[rng.random(10 * io._TABLE_ROWS)])
+        assert sorted_sizes == [io._TABLE_ROWS + 1]

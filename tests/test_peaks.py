@@ -80,3 +80,18 @@ class TestCandidateFilter:
         assert idx.tolist() == [p1, p2]
         expected = [x[p1] - max(x[: p1 + 1].min(), x[p1:].min()), x[p2] - max(x[p1 + 1 : p2 + 1].min(), x[p2:].min())]
         np.testing.assert_array_equal(prominences, expected)
+
+
+class TestWorkingSet:
+    def test_input_left_unchanged(self, rng):
+        x = rng.normal(0.0, 0.01, 10_000)
+        x[[2_500, 7_500]] = [5.0, 4.0]
+        before = x.copy()
+        find_peaks(x, height=0.0, prominence=1.0)
+        assert np.array_equal(x, before)
+
+    def test_peak_search(self, rng, traced_peak):
+        # the differences, the indices of the nonzero ones and two boolean
+        # masks: about 2.5 arrays of the input's length
+        x = rng.normal(size=1_000_000)
+        assert traced_peak(find_peaks, x) <= 2.6 * x.nbytes

@@ -28,6 +28,12 @@ class TestScanDetection:
         trace = ScanTrace(y)
         assert scans.detect_scan_resonances(trace, prominence=1.0) == []
 
+    def test_trace_left_unchanged(self):
+        trace = synth.synth_scan_trace(n_fundamental=5, seed=3)
+        before = trace.transmission.copy()
+        scans.detect_scan_resonances(trace, prominence=0.05)
+        assert np.array_equal(trace.transmission, before)
+
     def test_prominence_monotonicity(self):
         trace = synth.synth_scan_trace(n_fundamental=5, seed=3)
         counts = [len(scans.detect_scan_resonances(trace, prominence=p)) for p in (0.02, 0.1, 0.3, 0.6)]
@@ -112,6 +118,38 @@ class TestLengthDeviation:
         assert np.all(~np.isnan(dev.delta_pm[~spikes]))
 
 
+    def test_matches_the_reference_inversion_bit_for_bit(self, rng):
+        # the in-place steps against the inversion as one expression, with
+        # nonpositive samples and samples above the fringe maximum mixed in
+        trans = scans.fringe_transmission(rng.normal(0.0, 300.0, 4096), 1300.0)
+        trans[::97], trans[1::131], trans[2::151] = 0.0, -0.2, 1.3
+        trace = LockTrace(np.arange(4096) / 1000.0, trans, 780.0, 300.0, 0.5)
+        dev = scans.length_deviation(trace)
+        dl, s = trace.linewidth_pm(), trace.setpoint_fraction
+        t_max = scans._median(trans) / s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = t_max / trans - 1.0
+            delta = 0.5 * dl * np.sqrt(ratio) - 0.5 * dl * np.sqrt(1.0 / s - 1.0)
+        expected = np.where((trans <= 0.0) | (ratio < 0.0), np.nan, delta)
+        assert dev.n_clipped >= trans[::97].size + trans[1::131].size + trans[2::151].size
+        assert dev.delta_pm.tobytes() == expected.tobytes()
+        assert dev.sigma_pm == float(np.std(expected[~np.isnan(expected)]))
+
+    def test_trace_left_unchanged(self, rng):
+        trans = scans.fringe_transmission(rng.normal(0.0, 300.0, 4096), 1300.0)
+        trans[::50] = 1.3  # clipped samples
+        trace = LockTrace(np.arange(4096) / 1000.0, trans, 780.0, 300.0, 0.5)
+        before = trace.time_s.copy(), trace.transmission.copy()
+        scans.length_deviation(trace)
+        assert np.array_equal(trace.time_s, before[0]) and np.array_equal(trace.transmission, before[1])
+
+    def test_working_set(self, traced_peak):
+        # the deviations, the invertible ones and np.std's scratch: about
+        # three arrays of the trace's length
+        unlocked, _ = scans.synthesize_lock_traces(LockSynthConfig(), seed=0)
+        assert traced_peak(scans.length_deviation, unlocked) <= 3.2 * unlocked.transmission.nbytes
+
+
 class TestNoiseSpectrum:
     def test_sine_line_localization_and_amplitude(self, rng):
         rate, n = 20_000.0, 1 << 16
@@ -140,6 +178,41 @@ class TestNoiseSpectrum:
         above = (f > 900.0) & (f < 4000.0)
         assert np.median(ratio[below]) < 0.5 * np.median(ratio[above])
         assert np.median(ratio[above]) == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("n", [256, 257, 4096, 4099])
+    def test_matches_the_reference_periodogram_bit_for_bit(self, rng, n):
+        x = rng.normal(0.0, 50.0, n)
+        spec = scans.noise_spectrum(x, 1000.0)
+        w = np.hanning(n)
+        psd = 2.0 * np.abs(np.fft.rfft((x - np.mean(x)) * w)) ** 2 / (1000.0 * np.sum(w**2))
+        psd[0] /= 2.0
+        if n % 2 == 0:
+            psd[-1] /= 2.0
+        assert spec.asd.tobytes() == np.sqrt(psd).tobytes()
+        assert spec.freq_hz.tobytes() == np.fft.rfftfreq(n, d=1.0 / 1000.0).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 256, 257, 1 << 17, (1 << 17) + 1])
+    def test_hann_window_is_numpys(self, rng, n):
+        x = rng.normal(size=n)
+        windowed = x.copy()
+        power = scans._hann_weighted(windowed)
+        w = np.hanning(n)
+        assert windowed.tobytes() == (x * w).tobytes()
+        assert power == np.sum(w**2)
+
+    def test_series_left_unchanged(self, rng):
+        x, t = rng.normal(0.0, 50.0, 4096), np.arange(4096) / 1000.0
+        before = x.copy(), t.copy()
+        scans.noise_spectrum(x, time_s=t)
+        assert np.array_equal(x, before[0]) and np.array_equal(t, before[1])
+
+    def test_working_set(self, traced_peak):
+        # the windowed copy and its spectrum, then the PSD, the ASD and the
+        # frequency axis: about three arrays of the series' length
+        unlocked, _ = scans.synthesize_lock_traces(LockSynthConfig(), seed=0)
+        dev = scans.length_deviation(unlocked)
+        series = np.where(dev.valid, dev.delta_pm, 0.0)
+        assert traced_peak(scans.noise_spectrum, series, unlocked.rate_hz) <= 3.2 * series.nbytes
 
     def test_non_uniform_sampling_rejected(self, rng):
         t = np.sort(rng.uniform(0, 1, 1024))
