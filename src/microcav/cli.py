@@ -57,7 +57,7 @@ def _outdir(args) -> Path:
 def _provenance(args, inputs: list[str | Path], seed: int | None = None) -> dict:
     meta = {
         "toolkit_version": constants.TOOLKIT_VERSION,
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "inputs": {str(p): io.sha256_of(p) for p in inputs},
         "constants": {
             "c_m_per_s": constants.C_M_PER_S,
@@ -482,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.fn(args)
     except UsageError:

@@ -216,36 +216,25 @@ def fit_decay_mono(trace: DecayTrace) -> FitResult:
 
 
 def fit_decay_kohlrausch(trace: DecayTrace, fix_beta: float | None = None) -> FitResult:
-    """Stretched-exponential fit from the peak bin onward, 0 < beta <= 1.5."""
+    """Stretched-exponential fit from the peak bin onward, 0.05 <= beta <= 1.5.
+
+    ``fix_beta`` holds beta at that value by equal bounds (beta = 1 nests the
+    mono-exponential); the result then reports it with sigma 0.
+    """
     t, y, sig = _decay_window(trace)
     tau0, a0, b0 = _tail_guess(t, y)
     _check_coverage(t[-1], tau0)
-    if fix_beta is not None:
-
-        def model(tt, tau, amplitude, background):
-            return kohlrausch(tt, tau, fix_beta, amplitude, background)
-
-        def jac(tt, tau, amplitude, background):
-            full = kohlrausch_jac(tt, tau, fix_beta, amplitude, background)
-            return full[:, [0, 2, 3]]
-
-        res = lm_fit(model, t, y, [tau0, a0, b0], sigma=sig,
-                     bounds=([1e-6, 0.0, -np.inf], [np.inf, np.inf, np.inf]),
-                     jac=jac, names=["tau_ns", "amplitude", "background"],
-                     model_id=f"kohlrausch(beta={fix_beta})")
-        res.params["beta"] = fix_beta
-        res.sigmas["beta"] = 0.0
-        return res
+    beta_lo, beta0, beta_hi = (0.05, 1.0, 1.5) if fix_beta is None else (fix_beta,) * 3
     return lm_fit(
         kohlrausch,
         t,
         y,
-        [tau0, 1.0, a0, b0],
+        [tau0, beta0, a0, b0],
         sigma=sig,
-        bounds=([1e-6, 0.05, 0.0, -np.inf], [np.inf, 1.5, np.inf, np.inf]),
+        bounds=([1e-6, beta_lo, 0.0, -np.inf], [np.inf, beta_hi, np.inf, np.inf]),
         jac=kohlrausch_jac,
         names=["tau_ns", "beta", "amplitude", "background"],
-        model_id="kohlrausch",
+        model_id="kohlrausch" if fix_beta is None else f"kohlrausch(beta={fix_beta})",
     )
 
 

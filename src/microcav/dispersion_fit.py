@@ -94,8 +94,9 @@ def fit_dispersion(
         ``t_d_nm``, ``t_g2_nm``, ``gap_offset_nm`` starting values
         (defaults: template values and zero offset).
     fix_gap2_nm : float, optional
-        Freeze the second gap at this value (e.g. 0 to reproduce the
-        no-parasitic-gap comparison); it then drops out of the parameters.
+        Hold the second gap at this value by equal bounds (e.g. 0 to
+        reproduce the no-parasitic-gap comparison); the result reports it
+        with sigma 0 and lists it in ``diagnostics["fixed"]``.
     sigma_wavelength_nm : float
         Wavelength uncertainty of the points, for chi^2 scaling.
     """
@@ -139,7 +140,6 @@ def fit_dispersion(
     score = np.mean((miss - np.round(miss)) ** 2, axis=-1)
     node, k = np.unravel_index(np.argmin(score), score.shape)
     (t_d0, t_g20), off0 = nodes[node], offsets[k]
-    init = {"t_d_nm": t_d0, "t_g2_nm": t_g20, "gap_offset_nm": off0}
 
     # orders counted on the model's phase at the start, which the fit keeps; the
     # mode-order convention's labels are these plus turns
@@ -148,49 +148,35 @@ def fit_dispersion(
         raise FitError("degenerate dispersion data: all points share one mode order")
     turns = pm.anchor_turns(t_d0, t_g20)
 
-    free_gap2 = fix_gap2_nm is None
+    g2_lo, g2_hi = (0.0, np.inf) if fix_gap2_nm is None else (fix_gap2_nm,) * 2
 
     def run(q: np.ndarray) -> DispersionFit:
         last = {}
 
-        def unpack(params):
-            return params if free_gap2 else (params[0], fix_gap2_nm, params[1])
-
-        def model(x, *params):
-            t_d, t_g2, off = unpack(params)
+        def model(x, t_d, t_g2, off):
             wl = pm.newton(q, gaps + off, wls, t_d_nm=t_d, t_g2_nm=t_g2)
-            last.update(params=params, wl=wl)
+            last.update(params=(t_d, t_g2, off), wl=wl)
             return wl
 
-        def jac(x, *params):
-            wl = last["wl"] if last.get("params") == params else model(x, *params)
-            t_d, t_g2, off = unpack(params)
+        def jac(x, t_d, t_g2, off):
+            wl = last["wl"] if last.get("params") == (t_d, t_g2, off) else model(x, t_d, t_g2, off)
             _, dphi, dphi_dtd, dphi_dtg2, _, _ = pm.phase(wl, t_d, t_g2)
             dphi_dwl = dphi - 4.0 * np.pi * (gaps + off) / wl**2
-            columns = [dphi_dtd, dphi_dtg2, 4.0 * np.pi / wl] if free_gap2 else [dphi_dtd, 4.0 * np.pi / wl]
-            return -np.column_stack(columns) / dphi_dwl[:, None]
+            return -np.column_stack([dphi_dtd, dphi_dtg2, 4.0 * np.pi / wl]) / dphi_dwl[:, None]
 
-        names = ["t_d_nm", "t_g2_nm", "gap_offset_nm"] if free_gap2 else ["t_d_nm", "gap_offset_nm"]
-        lower = {"t_d_nm": 1.0, "t_g2_nm": 0.0, "gap_offset_nm": -np.inf}
-        bounds = ([lower[n] for n in names], [np.inf] * len(names))
         fit = lm_fit(
             model,
             None,
             wls,
-            [init[n] for n in names],
+            [t_d0, t_g20, off0],
             sigma=np.full(wls.shape, sigma_wavelength_nm),
-            bounds=bounds,
+            bounds=([1.0, g2_lo, -np.inf], [np.inf, g2_hi, np.inf]),
             jac=jac,
-            names=names,
-            model_id="membrane-dispersion" + ("" if free_gap2 else "(gap2 fixed)"),
+            names=["t_d_nm", "t_g2_nm", "gap_offset_nm"],
+            model_id="membrane-dispersion" + ("" if fix_gap2_nm is None else "(gap2 fixed)"),
             noise=_COST_NOISE,
         )
-        if not free_gap2:
-            fit.params["t_g2_nm"] = float(fix_gap2_nm)
-            fit.sigmas["t_g2_nm"] = 0.0
-            fit.diagnostics["t_g2_fixed"] = True
-        params = [fit.params[n] for n in names]
-        resid = wls - model(None, *params)
+        resid = wls - model(None, *fit.params.values())
         return DispersionFit(fit, (q + turns).astype(int), resid)
 
     best = run(q0)

@@ -3,7 +3,9 @@
 One engine serves every nonlinear fit in the toolkit: a bounded
 Levenberg-Marquardt in numpy (More 1978; Madsen, Nielsen & Tingleff 2004),
 analytic Jacobians where the model provides them, and a uniform result
-record with Jacobian-based one-sigma uncertainties.
+record with Jacobian-based one-sigma uncertainties.  Equal bounds hold a
+parameter, the one way a nested fit fixes one: the engine leaves it out of
+the moving set and the error matrix, as MINUIT does (James & Roos 1975).
 """
 
 from __future__ import annotations
@@ -204,10 +206,16 @@ def lm_fit(
         absolute; when omitted, the covariance is scaled by the reduced
         chi^2 of the solution.
     bounds : (lo, hi), optional
-        Box bounds per parameter (use +-inf for unbounded).
+        Box bounds per parameter (use +-inf for unbounded).  Equal bounds
+        hold a parameter at that value: the engine moves only the others,
+        and the result reports it with sigma 0, a zero row and column in
+        the covariance, and its name in ``diagnostics["fixed"]``.  The
+        point count, the reduced chi^2 and the condition number count the
+        free parameters only.
     jac : callable, optional
         ``jac(x, *params) -> (n_points, n_params)`` analytic Jacobian of the
-        model.  Finite differences are used when omitted.
+        model, all parameters held or not.  Finite differences are used when
+        omitted.
     names : list of str, optional
         Parameter names for the result record (defaults to p0..pN).
     noise : float
@@ -226,8 +234,6 @@ def lm_fit(
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     y = np.asarray(y, dtype=float)
     n_par = p0.size
-    if y.size <= n_par:
-        raise FitError(f"need more data points ({y.size}) than parameters ({n_par})")
     if names is None:
         names = [f"p{i}" for i in range(n_par)]
     if len(names) != n_par:
@@ -241,6 +247,19 @@ def lm_fit(
         hi = np.asarray(bounds[1], dtype=float) * np.ones(n_par)
     if np.any(p0 < lo) or np.any(p0 > hi):
         raise FitError("initial guess lies outside the bounds")
+    # the engine moves the free parameters only; model and jac see them all
+    free = lo < hi
+    n_free = int(free.sum())
+    held = n_free < n_par
+    if n_free == 0:
+        raise FitError("equal bounds hold every parameter")
+    if y.size <= n_free:
+        raise FitError(f"need more data points ({y.size}) than parameters ({n_free})")
+
+    def full(q):
+        p = p0.copy()
+        p[free] = q
+        return p
 
     if sigma is not None:
         sig_arr = np.asarray(sigma, dtype=float)
@@ -250,24 +269,30 @@ def lm_fit(
     else:
         w = None
 
-    def residual(p):
-        r = model(x, *p) - y
+    p0_free, lo, hi = p0[free], lo[free], hi[free]
+
+    def residual(q):
+        r = model(x, *full(q)) - y
         return r * w if w is not None else r
 
     if jac is not None:
 
-        def jacobian(p, r):
-            j = np.asarray(jac(x, *p), dtype=float)
+        def jacobian(q, r):
+            j = np.asarray(jac(x, *full(q)), dtype=float)
+            # selecting columns copies J into a new layout, which moves the
+            # SVD by rounding, so a fit with nothing held skips it
+            if held:
+                j = j[:, free]
             return j * w[:, None] if w is not None else j
 
     else:
 
-        def jacobian(p, r):
-            return _fd_jacobian(residual, p, r, lo, hi)
+        def jacobian(q, r):
+            return _fd_jacobian(residual, q, r, lo, hi)
 
     r_zero = 1e-10 * np.linalg.norm(y * w if w is not None else y)
     p_fit, r_fit, j_fit, nfev, status, zero_stop = _levenberg_marquardt(
-        residual, jacobian, p0, lo, hi, max_nfev if max_nfev is not None else 5000, r_zero, noise=noise)
+        residual, jacobian, p0_free, lo, hi, max_nfev if max_nfev is not None else 5000, r_zero, noise=noise)
     cost_fit = 0.5 * r_fit @ r_fit
 
     zero_residual = np.sqrt(2.0 * cost_fit / y.size) < 1e-8
@@ -278,7 +303,7 @@ def lm_fit(
         raise FitError(
             _STATUS[0],
             {
-                "best_params": dict(zip(names, p_fit.tolist())),
+                "best_params": dict(zip(names, full(p_fit).tolist())),
                 "cost": float(cost_fit),
                 "nfev": nfev,
             },
@@ -302,18 +327,16 @@ def lm_fit(
     except np.linalg.LinAlgError:
         pass
 
-    m = y.size
-    if sigma is None:
-        dof = max(m - n_par, 1)
-        scale = 2.0 * cost_best / dof
-    else:
-        scale = 1.0
+    scale = 2.0 * cost_best / max(y.size - n_free, 1) if sigma is None else 1.0
     cov, cond = covariance_from_jacobian(j_fit, scale)
+    if held:
+        cov_free, cov = cov, np.zeros((n_par, n_par))
+        cov[np.ix_(free, free)] = cov_free
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     return FitResult(
         model=model_id,
-        params=dict(zip(names, x_best.tolist())),
+        params=dict(zip(names, full(x_best).tolist())),
         sigmas=dict(zip(names, sig.tolist())),
         residual_norm=float(np.sqrt(2.0 * cost_best)),
         converged=True,
@@ -323,6 +346,7 @@ def lm_fit(
             "message": _STATUS[status],
             "jacobian_condition": cond,
             "covariance": cov.tolist(),
+            **({"fixed": [n for n, f in zip(names, free) if not f]} if held else {}),
             **({"zero_residual_termination": True} if zero_stop or status == 0 else {}),
         },
     )

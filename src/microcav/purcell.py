@@ -292,8 +292,9 @@ def fit_lifetime_model(data, model: LifetimeModel, fix_eta: float | None = None)
 
     ``data`` rows are (l_eff_um, tau_ns, sigma_ns).  Requires at least 3
     points spanning a factor >= 2 in effective length.  The fit starts at
-    the longest measured lifetime and ``_ETA_START``.  With ``fix_eta`` the
-    model reduces to a single-parameter fit of tau_0.
+    the longest measured lifetime and ``_ETA_START``.  ``fix_eta`` holds
+    eta_QE at that value by equal bounds, so only tau_0 moves and the
+    result reports eta_qe with sigma 0.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -308,17 +309,6 @@ def fit_lifetime_model(data, model: LifetimeModel, fix_eta: float | None = None)
     zeta = model.emitter.debye_waller
     fp = model.f_p(l_eff)
 
-    if fix_eta is not None:
-
-        def f(x, tau0):
-            return tau0 / (1.0 + fix_eta * zeta * fp)
-
-        def jac(x, tau0):
-            return (1.0 / (1.0 + fix_eta * zeta * fp))[:, None]
-
-        return lm_fit(f, l_eff, tau, [tau0_start], sigma=sig, bounds=([0.0], [np.inf]),
-                      jac=jac, names=["tau0_ns"], model_id="lifetime-vs-length(eta fixed)")
-
     def f(x, tau0, eta):
         return tau0 / (1.0 + eta * zeta * fp)
 
@@ -326,14 +316,15 @@ def fit_lifetime_model(data, model: LifetimeModel, fix_eta: float | None = None)
         denom = 1.0 + eta * zeta * fp
         return np.column_stack([1.0 / denom, -tau0 * zeta * fp / denom**2])
 
+    eta_lo, eta0, eta_hi = (0.0, _ETA_START, 1.0) if fix_eta is None else (fix_eta,) * 3
     return lm_fit(
         f,
         l_eff,
         tau,
-        [tau0_start, _ETA_START],
+        [tau0_start, eta0],
         sigma=sig,
-        bounds=([0.0, 0.0], [np.inf, 1.0]),
+        bounds=([0.0, eta_lo], [np.inf, eta_hi]),
         jac=jac,
         names=["tau0_ns", "eta_qe"],
-        model_id="lifetime-vs-length",
+        model_id="lifetime-vs-length" if fix_eta is None else "lifetime-vs-length(eta fixed)",
     )

@@ -267,6 +267,15 @@ class TestMetricsCommand:
             assert not {"mirror_transmission_ppm", "membrane_excess_loss_ppm"} & set(meta["constants"])
         assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 500.0
 
+    def test_provenance_records_the_argv_main_parsed(self, tmp_path, monkeypatch):
+        # main(argv) called in-process: sys.argv belongs to the host program
+        monkeypatch.setattr(sys, "argv", ["host-program", "--unrelated"])
+        assert run(tmp_path, "synth", "decay", "--tau", "1.36") == 0
+        argv = ["--outdir", str(tmp_path), "fit-decay", "--model", "mono", "--data", str(tmp_path / "decay.csv")]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "fit_decay_mono.json").read_text())["meta"]
+        assert meta["command"] == " ".join(argv)
+
 
 class TestLabWorkingSet:
     """Most bytes a lab command holds at once, in record lengths (rows x 8 B)."""

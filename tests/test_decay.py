@@ -57,8 +57,9 @@ class TestKohlrausch:
     def test_beta_fixed_equals_mono(self):
         tr = synth.synth_decay_trace(tau_ns=1.3, seed=5)
         tau_mono = decay.fit_decay_mono(tr)["tau_ns"]
-        tau_k1 = decay.fit_decay_kohlrausch(tr, fix_beta=1.0)["tau_ns"]
-        assert tau_k1 == pytest.approx(tau_mono, rel=1e-6)
+        k1 = decay.fit_decay_kohlrausch(tr, fix_beta=1.0)
+        assert k1["tau_ns"] == pytest.approx(tau_mono, rel=1e-6)
+        assert k1["beta"] == 1.0 and k1.sigmas["beta"] == 0.0
 
     def test_stretched_round_trip(self, rng):
         t = np.arange(0, 14, 0.032)

@@ -36,7 +36,8 @@ class TestDispersionFit:
         free = fit_dispersion(pts, st.default_assembly())
         frozen = fit_dispersion(pts, st.default_assembly(), fix_gap2_nm=0.0)
         assert frozen.chi2 >= 5.0 * free.chi2
-        assert frozen.fit.params["t_g2_nm"] == 0.0
+        assert frozen.fit.params["t_g2_nm"] == 0.0 and frozen.fit.sigmas["t_g2_nm"] == 0.0
+        assert frozen.fit.diagnostics["fixed"] == ["t_g2_nm"]
 
     def test_no_gap_data_recovers_zero(self):
         rng = np.random.default_rng(7)

@@ -110,6 +110,48 @@ class TestLmFit:
         assert fit.sigmas["a"] == pytest.approx(expected, rel=1e-6)
 
 
+class TestHeldParameters:
+    """Equal bounds hold a parameter: the fit is the one without it."""
+
+    @pytest.fixture
+    def line(self):
+        x = np.linspace(0.0, 10.0, 50)
+        y = 2.0 * x + 1.0 + np.random.default_rng(1).normal(0.0, 0.1, x.size)
+        return x, y, np.full(x.size, 0.1)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_matches_the_fit_without_it(self, line, analytic):
+        x, y, sigma = line
+        jac = (lambda x, a, b: np.column_stack([x, np.ones_like(x)])) if analytic else None
+        held = lm_fit(lambda x, a, b: a * x + b, x, y, [0.0, 1.0], sigma=sigma,
+                      bounds=([-np.inf, 1.0], [np.inf, 1.0]), jac=jac, names=["a", "b"])
+        one = lm_fit(lambda x, a: a * x + 1.0, x, y, [0.0], sigma=sigma, jac=lambda x, a: x[:, None], names=["a"])
+        assert one.sigmas["a"] == pytest.approx(0.00244, abs=1e-5)
+        assert held["b"] == 1.0 and held.sigmas["b"] == 0.0
+        assert held["a"] == pytest.approx(one["a"], rel=1e-9)
+        assert held.sigmas["a"] == pytest.approx(one.sigmas["a"], rel=1e-6)
+        assert held.chi2 == pytest.approx(one.chi2, rel=1e-9)
+        assert held.diagnostics["fixed"] == ["b"]
+        cov = np.array(held.diagnostics["covariance"])
+        assert cov.shape == (2, 2)
+        assert np.all(cov[1] == 0.0) and np.all(cov[:, 1] == 0.0)
+        assert cov[0, 0] == pytest.approx(one.diagnostics["covariance"][0][0], rel=1e-6)
+
+    def test_point_count_counts_free_parameters(self):
+        x = np.array([0.0, 1.0, 2.0])
+        held = ([-np.inf, -np.inf, 2.0], [np.inf, np.inf, 2.0])
+        with pytest.raises(FitError, match="more data points"):
+            lm_fit(quad, x[:2], quad(x[:2], 1.0, 1.0, 2.0), [0.0, 0.0, 2.0], bounds=held)
+        fit = lm_fit(quad, x, quad(x, 1.0, 1.0, 2.0), [0.0, 0.0, 2.0], bounds=held, names=["a", "b", "c"])
+        assert fit["c"] == 2.0
+        assert fit["a"] == pytest.approx(1.0, rel=1e-8) and fit["b"] == pytest.approx(1.0, rel=1e-8)
+
+    def test_every_parameter_held(self):
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(FitError, match="every parameter"):
+            lm_fit(lambda x, a: a * x, x, x, [1.0], bounds=([1.0], [1.0]))
+
+
 class TestModelRoundTrips:
     """Noiseless self-generated data returns the generating parameters."""
 

@@ -243,6 +243,8 @@ class TestLifetimeFit:
         fit = fit_lifetime_model(np.column_stack([l_eff, tau, sig]), model, fix_eta=0.0)
         mean_w = np.sum(tau / sig**2) / np.sum(1 / sig**2)
         assert fit["tau0_ns"] == pytest.approx(mean_w, rel=1e-9)
+        assert fit["eta_qe"] == 0.0 and fit.sigmas["eta_qe"] == 0.0
+        assert fit.diagnostics["fixed"] == ["eta_qe"]
 
     def test_flat_curve_reports_large_eta_uncertainty(self, model):
         # nearly constant F_p across lengths: tau0 and eta degenerate; the
