@@ -326,6 +326,12 @@ def _analyze_lock_state(path: str, args, state: str) -> tuple[dict, NoiseSpectru
     delta[clipped] = 0.0
     spectrum = noise_spectrum(delta, rate_hz)
     summary["spectral_peaks"] = spectrum.peaks
+    summary["asd_estimate"] = {
+        "segment_samples": spectrum.segment_samples,
+        "segments": spectrum.segments,
+        "bin_hz": spectrum.bin_hz,
+        "line_bin_hz": spectrum.line_bin_hz,
+    }
     print(f"{state}: sigma = {summary['sigma_pm']:.1f} pm ({summary['n_clipped']} clipped), "
           f"lines at {[round(f, 1) for f, _ in spectrum.peaks][:5]} Hz")
     return summary, spectrum
@@ -340,6 +346,8 @@ def cmd_analyze_lock(args) -> int:
     results, spectra = {}, {}
     for state, path in (("unlocked", args.unlocked), ("locked", args.locked)):
         results[state], spectra[state] = _analyze_lock_state(path, args, state)
+    if results["unlocked"]["sigma_pm"] == 0.0:
+        raise ValueError(f"{args.unlocked}: the unlocked record shows no length deviation, so the suppression is undefined")
     suppression = 1.0 - results["locked"]["sigma_pm"] / results["unlocked"]["sigma_pm"]
     results["suppression"] = suppression
     print(f"suppression: {100 * suppression:.1f}% of length fluctuations")

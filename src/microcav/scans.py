@@ -217,36 +217,52 @@ def fringe_transmission(delta_pm, linewidth_pm: float, setpoint_fraction: float 
 class NoiseSpectrum:
     """One-sided amplitude spectral density of a length-deviation series.
 
-    Hann-windowed periodogram, density normalization: ``asd`` in
-    pm/sqrt(Hz), so the integral of asd^2 over frequency reproduces the
-    time-domain variance (Parseval, up to the window's sampling wobble).
-    ``peaks`` are (frequency_hz, amplitude_pm) of prominent spectral
-    lines, the amplitude recovered by integrating the PSD over +-3 bins.
+    ``asd`` in pm/sqrt(Hz), density normalization, so the integral of asd^2
+    over frequency reproduces the time-domain variance (Parseval, up to the
+    window's sampling wobble).  It is Welch's average of the periodograms of
+    ``segments`` Hann-windowed segments of ``segment_samples`` samples,
+    overlapped by half, on bins ``bin_hz`` wide; a series shorter than two
+    segments has one Hann-windowed periodogram of the whole record
+    (``segments`` 1).  ``peaks`` are (frequency_hz, amplitude_pm) of
+    prominent spectral lines, found on the whole record's periodogram, whose
+    bins are ``line_bin_hz`` wide; the amplitude is recovered by integrating
+    that PSD over +-3 bins.
     """
 
     freq_hz: np.ndarray
     asd: np.ndarray
     peaks: list[tuple[float, float]]
+    segment_samples: int
+    segments: int
+    bin_hz: float
+    line_bin_hz: float
 
     def integrated_variance(self) -> float:
-        df = self.freq_hz[1] - self.freq_hz[0]
-        return float(np.sum(self.asd**2) * df)
+        return float(np.sum(self.asd**2) * self.bin_hz)
 
 
 # a spectral line stands this many times above the median ASD
 _LINE_THRESHOLD = 8.0
+# samples per Welch segment: 4.88 Hz bins at 20 kHz, 2,049 ASD rows
+_SEGMENT = 4096
 
 
 def noise_spectrum(series_pm, sample_rate_hz: float | None = None, time_s=None) -> NoiseSpectrum:
-    """Hann-windowed one-sided ASD of a uniformly sampled series.
+    """Welch-averaged one-sided ASD of a uniformly sampled series, lines at full resolution.
 
     Provide either ``sample_rate_hz`` or a uniform ``time_s`` axis
-    (non-uniform axes are rejected).  Spectral lines exceeding
-    ``_LINE_THRESHOLD`` times the median ASD are returned in ``peaks``.
+    (non-uniform axes are rejected).  The ASD averages the Hann-windowed
+    periodograms of ``_SEGMENT``-sample segments of x - mean(x), overlapped
+    by half; the last partial segment is dropped (Welch, IEEE Trans. Audio
+    Electroacoust. 15, 70 (1967)).  A series shorter than two segments gets
+    the Hann-windowed periodogram of the whole record instead.  Spectral
+    lines exceeding ``_LINE_THRESHOLD`` times the median ASD of the whole
+    record's periodogram are returned in ``peaks``, located on its bins.
 
-    Working set: about three arrays of the series' length (its windowed
-    copy and its complex spectrum, then the PSD, the ASD and the frequency
-    axis).  Neither ``series_pm`` nor ``time_s`` is modified.
+    Working set: about three arrays of the series' length (the whole
+    record's windowed copy and its complex spectrum, then the PSD, the ASD
+    and the frequency axis); the Welch pass before it holds one segment.
+    Neither ``series_pm`` nor ``time_s`` is modified.
     """
     x = np.asarray(series_pm, dtype=float)
     n = x.size
@@ -261,32 +277,70 @@ def noise_spectrum(series_pm, sample_rate_hz: float | None = None, time_s=None) 
             raise ValueError("non-uniform sampling")
         sample_rate_hz = 1.0 / float(np.mean(dt))
 
+    mean = np.mean(x)
+    welch = _welch_psd(x, mean, sample_rate_hz) if n >= 2 * _SEGMENT else None
     # each step writes into an array made here: x - mean(x) is windowed in
     # place, and the spectrum's magnitude becomes the PSD in place
-    x = x - np.mean(x)
+    x = x - mean
     window_power = _hann_weighted(x)
     psd = np.abs(np.fft.rfft(x))
     del x
-    # density normalization: sum(PSD) * df == windowed sample variance
     psd **= 2
-    psd *= 2.0
-    psd /= sample_rate_hz * window_power
-    psd[0] /= 2.0
-    if n % 2 == 0:
-        psd[-1] /= 2.0
+    _density(psd, n, sample_rate_hz * window_power)
     freq = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
     asd = np.sqrt(psd)
+    line_bin_hz = float(freq[1] - freq[0])
 
     floor = _median(asd)
     peaks = []
     if floor > 0:
         idx, _, _ = find_peaks(asd, height=_LINE_THRESHOLD * floor)
-        df = freq[1] - freq[0]
         for i in idx:
             lo, hi = max(i - 3, 0), min(i + 4, psd.size)
-            power = float(np.sum(psd[lo:hi]) * df)
+            power = float(np.sum(psd[lo:hi]) * line_bin_hz)
             peaks.append((float(freq[i]), float(np.sqrt(2.0 * power))))
-    return NoiseSpectrum(freq_hz=freq, asd=asd, peaks=peaks)
+    if welch is None:
+        return NoiseSpectrum(freq, asd, peaks, segment_samples=n, segments=1, bin_hz=line_bin_hz,
+                             line_bin_hz=line_bin_hz)
+    psd, segments = welch
+    freq = np.fft.rfftfreq(_SEGMENT, d=1.0 / sample_rate_hz)
+    return NoiseSpectrum(freq, np.sqrt(psd), peaks, segment_samples=_SEGMENT, segments=segments,
+                         bin_hz=float(freq[1] - freq[0]), line_bin_hz=line_bin_hz)
+
+
+def _welch_psd(x: np.ndarray, mean: float, sample_rate_hz: float) -> tuple[np.ndarray, int]:
+    """(one-sided PSD, segments averaged): Welch's average over ``_SEGMENT``-sample Hann segments of x - mean.
+
+    Segments start every ``_SEGMENT // 2`` samples and the last partial
+    one is dropped.  One segment is copied at a time; x is not modified.
+    """
+    step = _SEGMENT // 2
+    segments = (x.size - step) // step
+    window = np.hanning(_SEGMENT)
+    segment = np.empty(_SEGMENT)
+    psd = np.zeros(_SEGMENT // 2 + 1)
+    for start in range(0, segments * step, step):
+        np.subtract(x[start:start + _SEGMENT], mean, out=segment)
+        segment *= window
+        spectrum = np.fft.rfft(segment)
+        psd += spectrum.real**2
+        psd += spectrum.imag**2
+    _density(psd, _SEGMENT, sample_rate_hz * float(np.sum(window**2)) * segments)
+    return psd, segments
+
+
+def _density(power: np.ndarray, n: int, scale: float) -> None:
+    """Turn a sum of |rfft|^2 of n-sample windowed series into the one-sided density, in place.
+
+    ``scale`` is the sample rate times the window's sum of squares, times
+    the number of periodograms summed, so sum(PSD) * df is the windowed
+    sample variance.  DC, and Nyquist for even n, are not doubled.
+    """
+    power *= 2.0
+    power /= scale
+    power[0] /= 2.0
+    if n % 2 == 0:
+        power[-1] /= 2.0
 
 
 def _hann_weighted(x: np.ndarray) -> float:

@@ -20,7 +20,9 @@ the fiber-side gap; these are independent references:
 * ``GridPhaseModel``: the mirrors' phase on a dense grid, linear between
   nodes and rooted per cell in closed form;
 * ``exact_transmission_maxima``: the local maxima of the exact split's T,
-  found on a grid and refined by golden section.
+  found on a grid and refined by golden section;
+* ``full_record_lines``: the spectral lines of a series, read off one
+  Hann-windowed periodogram of the whole record.
 """
 
 from __future__ import annotations
@@ -421,3 +423,28 @@ def exact_transmission_maxima(assembly: CavityAssembly, gap_nm, wavelength_windo
     np.maximum.at(tallest, g_idx, peak)
     keep = peak >= rel_prominence * tallest[g_idx]
     return gap[keep], wl[keep]
+
+
+def full_record_lines(x, sample_rate_hz: float) -> list[tuple[float, float]]:
+    """(frequency_hz, amplitude) of the lines standing 8x above the median ASD of x's whole-record periodogram.
+
+    The Hann-windowed one-sided density of x - mean(x) as one expression;
+    each line's amplitude is sqrt(2 P), P the PSD summed over +-3 bins
+    times the bin width.  Lines are the ASD's peaks by ``scipy.signal``.
+    """
+    from scipy import signal
+
+    n = x.size
+    w = np.hanning(n)
+    psd = 2.0 * np.abs(np.fft.rfft((x - np.mean(x)) * w)) ** 2 / (sample_rate_hz * np.sum(w**2))
+    psd[0] /= 2.0
+    if n % 2 == 0:
+        psd[-1] /= 2.0
+    freq = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
+    asd = np.sqrt(psd)
+    floor = np.median(asd)
+    if not floor > 0:
+        return []
+    df = freq[1] - freq[0]
+    idx, _ = signal.find_peaks(asd, height=8.0 * floor)
+    return [(float(freq[i]), float(np.sqrt(2.0 * float(np.sum(psd[max(i - 3, 0):i + 4]) * df)))) for i in idx]

@@ -65,7 +65,12 @@ class TestSynthAndFit:
         assert payload["unlocked"]["sigma_pm"] == pytest.approx(290.0, rel=0.15)
         assert payload["locked"]["sigma_pm"] == pytest.approx(60.0, rel=0.15)
         assert abs(100 * payload["suppression"] - 77.0) <= 5.0
-        assert (tmp_path / "asd_locked.csv").exists()
+        for state in ("unlocked", "locked"):
+            # Welch's average over 4096-sample segments; the lines at the whole record's 131,072-sample bins
+            assert io.read_columns(tmp_path / f"asd_{state}.csv", 2).shape == (2049, 2)
+            assert payload[state]["asd_estimate"] == {
+                "segment_samples": 4096, "segments": 63, "bin_hz": 20_000.0 / 4096, "line_bin_hz": 20_000.0 / (1 << 17),
+            }
 
     def test_synth_deterministic(self, tmp_path):
         run(tmp_path, "synth", "decay", "--seed", "9")
@@ -195,6 +200,19 @@ class TestErrorPaths:
         capsys.readouterr()
         assert run(tmp_path, "analyze-lock", "--unlocked", str(tmp_path / "lock_unlocked.csv"), "--locked", str(bad)) == 1
         assert "line 1001: non-finite value" in capsys.readouterr().err
+        assert not list(tmp_path.glob("asd_*.csv"))
+        assert not (tmp_path / "lock_analysis.json").exists()
+
+    def test_flat_unlocked_record_leaves_no_output(self, tmp_path, capsys):
+        # no length deviation unlocked: the suppression, 1 - sigma_locked / sigma_unlocked, is undefined
+        assert run(tmp_path, "synth", "lock") == 0
+        flat = tmp_path / "flat_unlocked.csv"
+        time_s = io.read_columns(tmp_path / "lock_unlocked.csv", 2)[:, 0]
+        io.write_csv(flat, ["time_s", "transmission"], columns=[time_s, np.full(time_s.size, 0.5)])
+        capsys.readouterr()
+        assert run(tmp_path, "analyze-lock", "--unlocked", str(flat), "--locked", str(tmp_path / "lock_locked.csv")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(flat) in err[0]
         assert not list(tmp_path.glob("asd_*.csv"))
         assert not (tmp_path / "lock_analysis.json").exists()
 

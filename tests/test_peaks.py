@@ -56,7 +56,9 @@ class TestAgainstScipy:
         unlocked, _ = scans.synthesize_lock_traces(scans.LockSynthConfig(), seed=3)
         dev = scans.length_deviation(unlocked)
         filled = np.where(np.isnan(dev.delta_pm), 0.0, dev.delta_pm - np.nanmean(dev.delta_pm))
-        asd = scans.noise_spectrum(filled, unlocked.rate_hz).asd
+        # |rfft| of the whole windowed record, proportional to the ASD noise_spectrum finds lines on
+        w = np.hanning(filled.size)
+        asd = np.abs(np.fft.rfft((filled - np.mean(filled)) * w))
         assert_matches_scipy(asd, height=8.0 * float(np.median(asd)))
         assert_matches_scipy(asd)
         assert_matches_scipy(asd, prominence=0.01 * float(np.ptp(asd)))

@@ -3,6 +3,7 @@ import pytest
 
 from microcav import scans, synth
 from microcav.scans import LockSynthConfig, LockTrace, ScanTrace
+from oracles import full_record_lines
 
 
 class TestScanDetection:
@@ -179,7 +180,7 @@ class TestNoiseSpectrum:
         assert np.median(ratio[below]) < 0.5 * np.median(ratio[above])
         assert np.median(ratio[above]) == pytest.approx(1.0, abs=0.1)
 
-    @pytest.mark.parametrize("n", [256, 257, 4096, 4099])
+    @pytest.mark.parametrize("n", [256, 257, 4096, 4099, 8191])
     def test_matches_the_reference_periodogram_bit_for_bit(self, rng, n):
         x = rng.normal(0.0, 50.0, n)
         spec = scans.noise_spectrum(x, 1000.0)
@@ -190,6 +191,36 @@ class TestNoiseSpectrum:
             psd[-1] /= 2.0
         assert spec.asd.tobytes() == np.sqrt(psd).tobytes()
         assert spec.freq_hz.tobytes() == np.fft.rfftfreq(n, d=1.0 / 1000.0).tobytes()
+
+    @pytest.mark.parametrize("n", [8192, 8193, 1 << 17])
+    def test_welch_matches_scipy(self, rng, n):
+        signal = pytest.importorskip("scipy.signal")
+        x = rng.normal(0.0, 50.0, n) + 30.0 * np.sin(2 * np.pi * 61.0 * np.arange(n) / 1000.0)
+        spec = scans.noise_spectrum(x, 1000.0)
+        # the np.hanning array: scipy's "hann" string is the periodic window
+        freq, psd = signal.welch(x - x.mean(), 1000.0, window=np.hanning(4096), nperseg=4096, noverlap=2048,
+                                 detrend=False, scaling="density")
+        np.testing.assert_allclose(spec.asd**2, psd, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(spec.freq_hz, freq, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n, estimate", [
+        (8191, (8191, 1, 1000.0 / 8191, 1000.0 / 8191)),
+        (8192, (4096, 3, 1000.0 / 4096, 1000.0 / 8192)),
+        (1 << 17, (4096, 63, 1000.0 / 4096, 1000.0 / (1 << 17))),
+    ])
+    def test_provenance(self, rng, n, estimate):
+        spec = scans.noise_spectrum(rng.normal(0.0, 50.0, n), 1000.0)
+        assert (spec.segment_samples, spec.segments) == estimate[:2]
+        assert (spec.bin_hz, spec.line_bin_hz) == pytest.approx(estimate[2:], rel=1e-12)
+        assert spec.freq_hz.size == spec.segment_samples // 2 + 1
+
+    def test_lines_come_from_the_full_record(self):
+        # the synth lock pair as analyze-lock fills it: clipped samples 0
+        for trace in scans.synthesize_lock_traces(LockSynthConfig(), seed=4):
+            dev = scans.length_deviation(trace)
+            filled = np.where(dev.valid, dev.delta_pm - np.nanmean(dev.delta_pm), 0.0)
+            spec = scans.noise_spectrum(filled, trace.rate_hz)
+            assert spec.peaks and spec.peaks == full_record_lines(filled, trace.rate_hz)
 
     @pytest.mark.parametrize("n", [2, 3, 256, 257, 1 << 17, (1 << 17) + 1])
     def test_hann_window_is_numpys(self, rng, n):
