@@ -154,7 +154,8 @@ def fit_dispersion(
         last = {}
 
         def model(x, t_d, t_g2, off):
-            wl = pm.newton(q, gaps + off, wls, t_d_nm=t_d, t_g2_nm=t_g2)
+            # a trial step may have no root near the data; its wavelengths stay on the model's grid
+            wl = pm.newton(q, gaps + off, wls, pm.wl[0], pm.wl[-1], t_d_nm=t_d, t_g2_nm=t_g2)
             last.update(params=(t_d, t_g2, off), wl=wl)
             return wl
 

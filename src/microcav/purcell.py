@@ -12,12 +12,16 @@ The enhancement chain for an emitter ensemble in the membrane:
   reduction (only the zero-phonon fraction zeta of the radiative decay is
   cavity-enhanced, and only the radiative fraction eta_QE of the total
   decay responds).
+
+``predict_lifetime_curve`` runs the chain per retuned gap; ``LifetimeModel``
+runs it at gap(L_eff), a line that one standing wave at two resonant gaps
+fixes, and rejects an L_eff below a zero gap or past a stable one by name.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -142,26 +146,14 @@ class LifetimePoint:
     flag: str = ""  # non-empty when the point could not be computed
 
     def to_row(self) -> dict:
-        return {
-            "gap_nm": self.gap_nm,
-            "q_gap": self.q_gap,
-            "l_eff_um": self.l_eff_um,
-            "w0_um": self.waist_um,
-            "v_m_um3": self.v_m_um3,
-            "q_c": self.q_c,
-            "q_eff": self.q_eff,
-            "xi": self.xi,
-            "f_p": self.f_p,
-            "tau_ns": self.tau_ns,
-            "flag": self.flag,
-        }
+        row = asdict(self)
+        row["w0_um"] = row.pop("waist_um")
+        return row
 
 
-def _retuned(pm: PhaseModel, wavelength_nm: float, target_gap_nm: float) -> tuple[float, int, float]:
-    """(gap, q, waist) of the resonance at ``wavelength_nm`` whose gap is nearest ``target_gap_nm``."""
-    gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
-    cav = pm.assembly.with_gap(gap)
-    return gap, q, metrics.mode_waist(cav.geometric_length_um(), cav.r_c_um, wavelength_nm)
+def _waist(assembly: CavityAssembly, wavelength_nm: float, gap_nm: float) -> float:
+    """Mode waist at ``gap_nm``, from the geometric length."""
+    return metrics.mode_waist(assembly.with_gap(gap_nm).geometric_length_um(), assembly.r_c_um, wavelength_nm)
 
 
 def operating_point(pm: PhaseModel, wavelength_nm: float,
@@ -172,17 +164,18 @@ def operating_point(pm: PhaseModel, wavelength_nm: float,
     resonance, solves the field there, and takes L_eff from it, then the
     waist and V_m.  The wave serves the emitter overlap.
     """
-    gap, q, w0 = _retuned(pm, wavelength_nm, target_gap_nm)
+    gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
+    w0 = _waist(pm.assembly, wavelength_nm, gap)
     wave = StandingWave(pm.assembly, wavelength_nm, gap)
     l_eff = float(wave.effective_length_um()[0])
     v_m = metrics.mode_volume(w0, l_eff)
     return gap, metrics.ModeGeometry(w0, v_m, metrics.mode_volume_lambda3(v_m, wavelength_nm), l_eff, q), wave
 
 
-def _lifetime_point(emitter: EmitterParams, retuned: tuple[float, int, float], l_eff: float, xi: float,
+def _lifetime_point(emitter: EmitterParams, assembly: CavityAssembly, gap: float, q: int, l_eff: float, xi: float,
                     finesse: float, tau0_ns: float, eta_qe: float) -> LifetimePoint:
     wl = emitter.zpl_wavelength_nm
-    gap, q, w0 = retuned
+    w0 = _waist(assembly, wl, gap)
     v_m = metrics.mode_volume(w0, l_eff)
     q_c = metrics.quality_factor(l_eff, wl, finesse)
     q_eff = effective_q(emitter.q_em, q_c)
@@ -222,61 +215,59 @@ def predict_lifetime_curve(
     pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
     finesse = metrics.finesse_from_losses(metrics.loss_budget(pm, wl, membrane_loss_ppm))
     targets = np.atleast_1d(np.asarray(gaps_nm, dtype=float)).tolist()
-    retuned = [_or_error(_retuned, pm, wl, g) for g in targets]
+    retuned = [_or_error(pm.retune_gap, wl, g) for g in targets]
     wave = StandingWave(assembly, wl, [r[0] for r in retuned if not isinstance(r, Exception)])
     fields = zip(wave.effective_length_um().tolist(),
                  xi_overlap(wave, assembly.implant_depth_nm, emitter.dipole_angle_rad).tolist())
     points = []
     for g, r in zip(targets, retuned):
         if not isinstance(r, Exception):
-            r = _or_error(_lifetime_point, emitter, r, *next(fields), finesse, tau0_ns, eta_qe)
+            r = _or_error(_lifetime_point, emitter, assembly, *r, *next(fields), finesse, tau0_ns, eta_qe)
         points.append(r if isinstance(r, LifetimePoint) else LifetimePoint(g, -1, *[np.nan] * 8, flag=str(r)))
     return points
 
 
 class LifetimeModel:
-    """F_p(L_eff) interpolator over a gap sweep, for lifetime fitting.
+    """F_p(L_eff) in closed form, for lifetime fitting.
 
-    The Purcell factor at fixed transition wavelength depends on the
-    geometry only; sweeping the gap once tabulates (L_eff, F_p) and the
-    fit then varies (tau_0, eta_QE) on top of the interpolated curve.
+    At the emitter's wavelength xi does not depend on the gap, and L_eff is
+    affine in the resonant gap.  One ``StandingWave`` at two resonant gaps,
+    near r_c / 4 and r_c / 2, gives xi and the line L_eff = slope * gap +
+    intercept.  ``f_p(L)`` runs ``predict_lifetime_curve``'s chain at gap(L):
+    w0 from the geometric length, V_m, Q_c, Q_eff and F_p.  Every L_eff of
+    ``l_eff_range_um`` must map to a gap >= 0 and a stable resonator, else
+    ``ValueError`` (or ``UnstableResonatorError``) names it.
     """
 
-    def __init__(
-        self,
-        assembly: CavityAssembly,
-        emitter: EmitterParams,
-        l_eff_range_um: tuple[float, float],
-        membrane_loss_ppm: float = constants.MEMBRANE_EXCESS_LOSS_PPM,
-        n_points: int = 25,
-    ):
-        self.emitter = emitter
-        lo, hi = l_eff_range_um
+    def __init__(self, assembly: CavityAssembly, emitter: EmitterParams, l_eff_range_um: tuple[float, float],
+                 membrane_loss_ppm: float = constants.MEMBRANE_EXCESS_LOSS_PPM):
+        self.assembly, self.emitter = assembly, emitter
+        wl = emitter.zpl_wavelength_nm
+        pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
+        self.finesse = metrics.finesse_from_losses(metrics.loss_budget(pm, wl, membrane_loss_ppm))
+        gaps = [pm.retune_gap(wl, 1e3 * assembly.r_c_um / n)[0] for n in (4.0, 2.0)]
+        wave = StandingWave(assembly, wl, gaps)
+        self.xi = float(xi_overlap(wave, assembly.implant_depth_nm, emitter.dipole_angle_rad)[0])
+        l0, l1 = wave.effective_length_um().tolist()
+        self.slope_um_per_nm = (l1 - l0) / (gaps[1] - gaps[0])
+        self.intercept_um = l0 - self.slope_um_per_nm * gaps[0]
+        for l_eff in l_eff_range_um:
+            self._point(l_eff)
 
-        def sweep(gap_nm):
-            """(l_eff_um, f_p, gap_nm) rows sorted by L_eff, bracketing the range by gap_nm(L_eff)."""
-            gaps = np.linspace(max(200.0, gap_nm(lo - 5.0)), gap_nm(hi + 6.0), n_points)
-            pts = predict_lifetime_curve(assembly, gaps, emitter, tau0_ns=1.0, eta_qe=0.0, membrane_loss_ppm=membrane_loss_ppm)
-            good = [(p.l_eff_um, p.f_p, p.gap_nm) for p in pts if not p.flag]
-            if len(good) < 3:
-                raise NoResonanceError("gap sweep produced too few valid points for interpolation")
-            return np.asarray(sorted(good))
-
-        # generously bracket the requested L_eff range, taking L_eff for the gap
-        table = sweep(lambda l_um: l_um * 1e3)
-        if lo < table[0, 0] or hi > table[-1, 0]:
-            # L_eff is far from the gap (a membrane on the plane mirror): sweep
-            # again along the gap(L_eff) line through the first sweep's ends
-            (l0, _, g0), (l1, _, g1) = table[0], table[-1]
-            table = sweep(lambda l_um: g0 + (g1 - g0) / (l1 - l0) * (l_um - l0))
-        self._l, self._f = table[:, 0], table[:, 1]
-        if lo < self._l[0] or hi > self._l[-1]:
-            raise ValueError(
-                f"requested L_eff range [{lo}, {hi}] um outside tabulated [{self._l[0]:.2f}, {self._l[-1]:.2f}] um"
-            )
+    def _point(self, l_eff_um: float) -> LifetimePoint:
+        """The point at L_eff, for tau_0 = 1 ns and eta_QE = 0; q_gap is -1, as no order is solved."""
+        gap = (l_eff_um - self.intercept_um) / self.slope_um_per_nm
+        if not gap >= 0.0:
+            raise ValueError(f"L_eff {l_eff_um} um is below {self.intercept_um:.4f} um, the L_eff of a zero gap")
+        try:
+            return _lifetime_point(self.emitter, self.assembly, gap, -1, l_eff_um, self.xi, self.finesse, 1.0, 0.0)
+        except metrics.UnstableResonatorError as exc:
+            raise metrics.UnstableResonatorError(f"L_eff {l_eff_um} um: {exc}") from exc
 
     def f_p(self, l_eff_um):
-        return np.interp(l_eff_um, self._l, self._f)
+        """F_p at each L_eff of ``l_eff_um``, in its shape."""
+        l_eff = np.asarray(l_eff_um, dtype=float)
+        return np.reshape([self._point(l).f_p for l in l_eff.ravel().tolist()], l_eff.shape)
 
     def tau(self, l_eff_um, tau0_ns: float, eta_qe: float):
         fp = self.f_p(l_eff_um)

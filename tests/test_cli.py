@@ -149,8 +149,8 @@ class TestPurcellCommand:
             run(tmp_path, "purcell", "--points", "0")
 
     def test_fit_lifetime_reads_its_own_table_without_second_gap(self, tmp_path):
-        # with the membrane on the plane mirror L_eff is about half the gap, so a
-        # sweep that takes L_eff for the gap falls short of the table's range
+        # with the membrane on the plane mirror L_eff is about half the gap; the
+        # model's two-gap solve maps the table's L_eff back to its gaps
         cfg = {**st.default_assembly_config(), "gap2_nm": 0.0}
         (tmp_path / "a.json").write_text(json.dumps(cfg))
         assert run(tmp_path, "purcell", "--points", "40", "--assembly", str(tmp_path / "a.json")) == 0
@@ -262,7 +262,7 @@ class TestMetricsCommand:
         assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 0.0
 
     def test_three_field_solves_per_command(self, tmp_path, field_solves):
-        # metrics, a 40-point purcell sweep and fit-lifetime's 25-point sweep each
+        # metrics, a 40-point purcell sweep and fit-lifetime's two-gap solve each
         # solve three sub-stacks, none of which holds both coatings
         assembly = st.default_assembly()
         both = len(assembly.fiber_mirror.layers) + len(assembly.plane_mirror.layers)

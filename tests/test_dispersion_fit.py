@@ -95,6 +95,28 @@ class TestDispersionFit:
             assert fit.t_g2_nm == pytest.approx(250.0, abs=1e-2)
             assert np.max(np.abs(fit.residuals_nm)) < 1e-6
 
+    @pytest.mark.parametrize("shift_nm, seed", [(740.0, 0), (-740.0, 23)])
+    def test_trial_points_stay_on_the_phase_grid(self, shift_nm, seed, monkeypatch):
+        # the CLI's default points with its seeded noise, on a gap axis shifted by about a wavelength: an
+        # unbounded Newton sent trial wavelengths off the grid, where the coatings' interpolant cast NaN
+        # to a cell index (a RuntimeWarning, which fails the test)
+        from microcav.resonance import PhaseModel
+
+        asm = st.default_assembly()
+        pts = points_from_resonances(find_resonances(asm, np.linspace(12_800.0, 14_400.0, 9), (715.0, 755.0)))
+        pts += np.column_stack([np.full(len(pts), shift_nm), np.random.default_rng(seed).normal(0, 0.05, len(pts))])
+        off_grid = []
+        coatings_at = PhaseModel._coatings_at
+
+        def checked(self, wl, *args):
+            off_grid.append(int(np.sum(~((wl >= self.wl[0]) & (wl <= self.wl[-1])))))
+            return coatings_at(self, wl, *args)
+
+        monkeypatch.setattr(PhaseModel, "_coatings_at", checked)
+        fit = fit_dispersion(pts, asm, sigma_wavelength_nm=0.05)
+        assert off_grid and sum(off_grid) == 0
+        assert np.isfinite(fit.chi2)
+
     def test_no_grid_work_during_the_fit(self, synthetic_points, layer_points, monkeypatch):
         # the LM run sweeps no coating, and composes the membrane and second
         # gap at the data wavelengths only

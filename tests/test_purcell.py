@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from microcav import constants, purcell, resonance, tmm
+from microcav import constants, metrics, purcell, resonance, tmm
 from microcav import stack as st
 from microcav.peaks import find_peaks
 from microcav.purcell import EmitterParams, LifetimeModel, fit_lifetime_model, predict_lifetime_curve
@@ -220,6 +220,28 @@ class TestLifetimeCurve:
 @pytest.fixture(scope="module")
 def model(membrane_assembly):
     return LifetimeModel(membrane_assembly, EmitterParams(), (8.0, 26.0))
+
+
+class TestLifetimeModel:
+    @pytest.mark.parametrize("gap2_nm", [250.0, 0.0])
+    def test_closed_form_matches_the_per_gap_chain(self, gap2_nm):
+        # F_p(L_eff) from the two-gap line against predict_lifetime_curve at every retuned gap
+        asm = st.default_assembly(gap2_nm=gap2_nm)
+        pts = predict_lifetime_curve(asm, np.linspace(9000.0, 26_000.0, 400), EmitterParams(), 1.36, 0.51)
+        assert all(not p.flag for p in pts)
+        l_eff, f_p = np.array([(p.l_eff_um, p.f_p) for p in pts]).T
+        model = LifetimeModel(asm, EmitterParams(), (l_eff.min(), l_eff.max()))
+        np.testing.assert_allclose(model.f_p(l_eff), f_p, rtol=1e-12, atol=0.0)
+
+    def test_range_below_the_zero_gap_rejected(self, membrane_assembly, model):
+        assert 1.0 < model.intercept_um < 8.0
+        with pytest.raises(ValueError, match=r"L_eff 1\.0 um is below"):
+            LifetimeModel(membrane_assembly, EmitterParams(), (1.0, 20.0))
+
+    def test_unstable_range_rejected(self, membrane_assembly):
+        # r_c is 45 um, and L_eff 60 um needs a gap of about 64 um
+        with pytest.raises(metrics.UnstableResonatorError, match=r"L_eff 60\.0 um: unstable resonator"):
+            LifetimeModel(membrane_assembly, EmitterParams(), (10.0, 60.0))
 
 
 class TestLifetimeFit:
