@@ -3,6 +3,12 @@
 CSV conventions: comma-separated, ``#`` starts a comment, optional single
 header row (detected by non-numeric first field).  Malformed data rows and
 non-finite values raise CsvFormatError naming the 1-based line number.
+
+Numeric columns are written as ``str()`` prints each value, byte for byte,
+by one bulk printer in numpy (:mod:`microcav.printer`): floats by their
+shortest round-trip digits (Schubfach, in uint64 arithmetic), integers by a
+table of 4-digit groups.  Zero, subnormals, inf and nan, rare in a trace,
+are printed by ``str()``.
 """
 
 from __future__ import annotations
@@ -92,13 +98,17 @@ def _read_rows(path: str | Path, n_min: int, n_max: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-# rows of ``columns`` turned into text and written at a time: bounds the
-# strings held in memory, whatever the length of the columns
-_CHUNK_ROWS = 512
+# rows of ``columns`` printed and written at a time: bounds the slots and
+# temporaries held in memory (about 600 B a row for three float columns),
+# whatever the length of the columns
+_CHUNK_ROWS = 4000
 
-# a float column with at most this many distinct bit patterns formats each
-# pattern once, into a table of texts
+# a float column with at most this many distinct bit patterns prints each
+# pattern once, into a table of slot rows
 _TABLE_ROWS = 4096
+
+# a bool's byte slots: the letters of "False"
+_BOOL_SLOTS = 5
 
 
 def write_csv(path: str | Path, header: list[str], rows=(), *, columns=None) -> None:
@@ -106,45 +116,104 @@ def write_csv(path: str | Path, header: list[str], rows=(), *, columns=None) -> 
 
     Columns are written as ``csv.writer`` writes their ``tolist()`` rows,
     byte for byte: ``str()`` of each value, comma-separated, ``\\r\\n``-ended.
+    They are printed in bulk, _CHUNK_ROWS rows at a time, by
+    :mod:`microcav.printer`: each value fills a fixed row of byte slots and
+    marks the slots its text uses, and one masked copy joins a chunk's texts
+    and separators into bytes.  A float prints the shortest digits that read
+    back to it, as ``repr`` does; zero, subnormals, inf and nan are printed
+    by ``str()`` itself.  Columns of unequal length raise ValueError before
+    the file is opened.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        if columns is None:
-            w.writerows(rows)
-            return
+    if columns is not None:
         arrays = [np.asarray(c) for c in columns]
-        texts = [_column_text(a) for a in arrays]
-        n = min((a.size for a in arrays), default=0)
+        printers = [_column_printer(a) for a in arrays]
+        lengths = [a.size for a in arrays]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"columns must have equal lengths, got {lengths}")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        if columns is None:
+            writer.writerows(rows)
+            return
+        fh.flush()  # the rows go to the byte stream under the header's text
+        n = lengths[0] if lengths else 0
         for start in range(0, n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n)
-            fh.write("\r\n".join(map(",".join, zip(*(text(start, stop) for text in texts)))))
-            fh.write("\r\n")
+            fh.buffer.write(_chunk_text(printers, start, min(start + _CHUNK_ROWS, n)))
 
 
-def _column_text(column: np.ndarray):
-    """A function of (start, stop) listing ``str()`` of each value of column[start:stop].
+def _chunk_text(printers, start: int, stop: int) -> np.ndarray:
+    """The bytes of rows start:stop: each column's slots and then "," (the last "\\r\\n"), joined by one masked copy."""
+    width = sum(w for w, _ in printers) + len(printers) + 1
+    slots = np.empty((stop - start, width), np.uint8)
+    keep = np.empty((stop - start, width), bool)
+    at = 0
+    for w, fill in printers:
+        fill(slots[:, at : at + w], keep[:, at : at + w], start, stop)
+        slots[:, at + w] = ord(",")
+        keep[:, at + w] = True
+        at += w + 1
+    slots[:, at - 1 :] = (ord("\r"), ord("\n"))
+    keep[:, at] = True
+    return slots[keep]
 
-    A float column with at most _TABLE_ROWS distinct bit patterns (the gap
-    and wavelength columns of a dispersion map) formats each pattern once,
-    into a table, and looks up each chunk's patterns in it; -0.0 and each
-    NaN keep their own text.  A column whose first _TABLE_ROWS + 1 values
-    are all distinct has more patterns than that, so it is not sorted.
+
+def _column_printer(column: np.ndarray):
+    """(width, fill): fill(slots, keep, start, stop) prints column[start:stop] into rows of ``width`` byte slots.
+
+    The printed text of each value is ``str()`` of its ``tolist()`` value:
+    the slots ``keep`` marks, in order.  Integers are printed per value.
+    So are floats, widened exactly to float64, except that a float column
+    with at most _TABLE_ROWS distinct bit patterns (the gap and wavelength
+    columns of a dispersion map) prints each pattern once, into a table,
+    and looks up each chunk's patterns in it; -0.0 and each NaN keep their
+    own text.  A column whose first _TABLE_ROWS + 1 values are all distinct
+    has more patterns than that, so it is not sorted.  A bool column looks
+    its values up in the table of "False" and "True".
     """
-    if column.ndim != 1 or column.dtype.kind not in "biuf":
-        raise TypeError(f"columns must be 1-D numeric arrays, got {column.dtype} with shape {column.shape}")
-    if column.dtype.kind == "f" and column.itemsize <= 8:
-        bits = column.view(f"u{column.itemsize}")
-        if _distinct(bits[: _TABLE_ROWS + 1]).size <= _TABLE_ROWS and (distinct := _distinct(bits)).size <= _TABLE_ROWS:
-            table = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
-            return lambda start, stop: table[np.searchsorted(distinct, bits[start:stop])].tolist()
-    return lambda start, stop: list(map(str, column[start:stop].tolist()))
+    # loaded (and, where bytecode is not cached, compiled) only by the
+    # commands that write columns, not by every import of the CLI
+    from . import printer
+
+    kind = column.dtype.kind
+    if column.ndim != 1 or kind not in "biuf" or column.itemsize > 8:
+        raise TypeError(f"columns must be 1-D numeric arrays of at most 64 bits, got {column.dtype} with shape {column.shape}")
+    if kind == "b":
+        table = np.frombuffer(b"FalseTrue ", np.uint8).reshape(2, 5), np.arange(5) < [[5], [4]]
+        return _BOOL_SLOTS, _lookup(table, lambda start, stop: column[start:stop].view(np.uint8))
+    if kind in "iu":
+        wide = np.int64 if kind == "i" else np.uint64
+        return printer.INT_SLOTS, lambda slots, keep, start, stop: printer.print_integers(column[start:stop].astype(wide), slots, keep)
+    bits = column.view(f"u{column.itemsize}")
+    if _distinct(bits[: _TABLE_ROWS + 1]).size <= _TABLE_ROWS and (distinct := _distinct(bits)).size <= _TABLE_ROWS:
+        table = np.empty((distinct.size, printer.FLOAT_SLOTS), np.uint8), np.empty((distinct.size, printer.FLOAT_SLOTS), bool)
+        printer.print_floats(_widened(distinct.view(column.dtype)), *table)
+        return printer.FLOAT_SLOTS, _lookup(table, lambda start, stop: np.searchsorted(distinct, bits[start:stop]))
+    return printer.FLOAT_SLOTS, lambda slots, keep, start, stop: printer.print_floats(_widened(column[start:stop]), slots, keep)
+
+
+def _widened(values: np.ndarray) -> np.ndarray:
+    """Float ``values`` as contiguous float64, exactly; a signalling NaN turns quiet, still printed "nan"."""
+    with np.errstate(invalid="ignore"):
+        return np.ascontiguousarray(values, dtype=np.float64)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array, ascending."""
     ordered = np.sort(values)
     return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
+def _lookup(table, index):
+    """A fill that copies the rows ``index(start, stop)`` of a (slots, keep) table."""
+    table_slots, table_keep = table
+
+    def fill(slots, keep, start, stop):
+        rows = index(start, stop)
+        slots[:] = table_slots[rows]
+        keep[:] = table_keep[rows]
+
+    return fill
 
 
 def write_json(path: str | Path, payload: dict) -> None:

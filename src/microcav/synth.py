@@ -98,14 +98,25 @@ def synth_scan_trace(
 
     The peak width is FSR/finesse in sample units; keep finesse/fsr such
     that peaks span >= ~10 samples or width estimates will discretize.
+    Each Lorentzian term is computed in one scratch array, in place.
     """
     n = int(first_peak + n_fundamental * fsr_samples)
     pos = np.arange(n, dtype=float)
     width = fsr_samples / finesse
     y = np.zeros(n)
+    term = np.empty(n)
     for i in range(n_fundamental):
         c = first_peak + i * fsr_samples
-        y += 1.0 / (1.0 + (2.0 * (pos - c) / width) ** 2)
-        y += higher_order_height / (1.0 + (2.0 * (pos - c - higher_order_offset) / width) ** 2)
+        for offset, height in ((0.0, 1.0), (higher_order_offset, higher_order_height)):
+            # height / (1 + (2 ((pos - c) - offset) / width)^2)
+            np.subtract(pos, c, out=term)
+            if offset:
+                np.subtract(term, offset, out=term)
+            np.multiply(2.0, term, out=term)
+            np.divide(term, width, out=term)
+            np.square(term, out=term)
+            np.add(1.0, term, out=term)
+            np.divide(height, term, out=term)
+            y += term
     y += np.random.default_rng(seed).normal(0.0, noise, n)
     return ScanTrace(y, meta={"fsr_samples": fsr_samples, "finesse": finesse})

@@ -371,6 +371,16 @@ class TestStartUp:
         proc = _fresh_interpreter("import sys, microcav\nassert 'numpy' not in sys.modules, 'import microcav loaded numpy'\n")
         assert proc.returncode == 0, proc.stderr
 
+    def test_number_printer_loads_on_first_column_write(self, tmp_path):
+        # a command that writes no column neither loads nor compiles the printer
+        proc = _fresh_interpreter(
+            "import sys\n"
+            "from microcav.cli import main\n"
+            "assert 'microcav.printer' not in sys.modules, 'import microcav.cli loaded the printer'\n"
+            "assert main(['--outdir', sys.argv[1], 'synth', 'tdep']) == 0\n"
+            "assert 'microcav.printer' in sys.modules\n", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestScipyFreeSolverPath:
     def test_metrics_and_purcell_without_scipy(self, tmp_path):

@@ -216,6 +216,7 @@ class TestWriteCsvMatchesCsvWriter:
             "float32_repeating": np.resize(np.float32([0.1, -0.0, 3.0]), n),
             "distinct": rng.standard_normal(n),
             "repeat_then_distinct": np.concatenate((np.resize([0.5, -0.0, 7.25], first), rng.standard_normal(n - first))),
+            "flag": np.resize([True, False, False], n),
         }
         io.write_csv(tmp_path / "edge.csv", list(columns), columns=columns.values())
         expected = csv_writer_bytes(list(columns), zip(*(c.tolist() for c in columns.values())))
@@ -225,11 +226,23 @@ class TestWriteCsvMatchesCsvWriter:
         with pytest.raises(TypeError, match="numeric"):
             io.write_csv(tmp_path / "text.csv", ["a", "b"], columns=[np.arange(2), np.array(["x,y", "z"])])
 
+    def test_unequal_columns_rejected(self, tmp_path):
+        # a longer column would lose its tail; nothing is written
+        with pytest.raises(ValueError, match=r"\[3, 2\]"):
+            io.write_csv(tmp_path / "short.csv", ["a", "b"], columns=[np.arange(3), np.ones(2)])
+        assert not (tmp_path / "short.csv").exists()
+
     def test_peak_memory_of_a_lock_trace(self, tmp_path, rng, traced_peak):
         # a 131,072-row lock trace: the writer holds one chunk of text at a
         # time, not every row as Python floats and strings at once
         time_s, transmission = np.arange(131_072) * 1e-6, rng.random(131_072)
         peak = traced_peak(io.write_csv, tmp_path / "lock.csv", ["time_s", "transmission"], columns=[time_s, transmission])
+        assert peak < 8e6
+
+    def test_peak_memory_of_a_scan(self, tmp_path, rng, traced_peak):
+        # a 285,000-row scan of an int and a float column: one chunk of slots at a time
+        sample, transmission = np.arange(285_000), rng.random(285_000)
+        peak = traced_peak(io.write_csv, tmp_path / "scan.csv", ["sample", "transmission"], columns=[sample, transmission])
         assert peak < 8e6
 
     def test_distinct_column_is_not_sorted(self, tmp_path, rng, monkeypatch):
@@ -240,3 +253,94 @@ class TestWriteCsvMatchesCsvWriter:
         monkeypatch.setattr(io.np, "sort", lambda a: sorted_sizes.append(a.size) or sort(a))
         io.write_csv(tmp_path / "asd.csv", ["asd"], columns=[rng.random(10 * io._TABLE_ROWS)])
         assert sorted_sizes == [io._TABLE_ROWS + 1]
+
+
+def assert_printed_as_str(path, column):
+    """write_csv prints each value of a 1-D column as str() of its tolist() value."""
+    io.write_csv(path, ["value"], columns=[column])
+    lines = path.read_bytes().split(b"\r\n")
+    expected = [b"value", *(str(v).encode() for v in column.tolist()), b""]
+    assert len(lines) == len(expected)
+    wrong = [(e, g) for e, g in zip(expected, lines) if e != g]
+    assert not wrong, wrong[:10]
+
+
+def with_neighbours(values: np.ndarray) -> np.ndarray:
+    """Each value, the doubles on either side of it, and all of these negated."""
+    values = np.concatenate((np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)))
+    return np.concatenate((values, -values))
+
+
+class TestNumberPrinter:
+    """The bulk printer against str(), on the values where shortest-digit printing goes wrong."""
+
+    def test_random_bit_patterns(self, tmp_path, rng):
+        bits = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64)
+        assert_printed_as_str(tmp_path / "bits.csv", bits.view(np.float64))
+
+    def test_hypothesis_bit_patterns(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        hst = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(hst.lists(hst.integers(0, 2**64 - 1), min_size=1, max_size=40))
+        def check(patterns):
+            assert_printed_as_str(tmp_path / "bits.csv", np.array(patterns, dtype=np.uint64).view(np.float64))
+
+        check()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_hypothesis_integers(self, tmp_path, dtype):
+        hypothesis = pytest.importorskip("hypothesis")
+        hst = hypothesis.strategies
+        info = np.iinfo(dtype)
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(hst.lists(hst.integers(int(info.min), int(info.max)), min_size=1, max_size=40))
+        def check(values):
+            assert_printed_as_str(tmp_path / "integers.csv", np.array(values, dtype=dtype))
+
+        check()
+
+    def test_powers_of_two(self, tmp_path):
+        # 2^-1074 (the smallest subnormal) to 2^1023; 2^-1022 is the
+        # smallest normal, where the spacing below stays regular
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_printed_as_str(tmp_path / "powers.csv", with_neighbours(powers))
+
+    def test_decades(self, tmp_path):
+        decades = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        assert_printed_as_str(tmp_path / "decades.csv", with_neighbours(decades))
+
+    def test_switch_points(self, tmp_path):
+        # repr turns scientific at 1e16 and below 1e-4
+        switch = np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05])
+        assert [str(v) for v in switch] == ["1e+16", "9999999999999998.0", "0.0001", "9.999999999999999e-05"]
+        assert_printed_as_str(tmp_path / "switch.csv", with_neighbours(switch))
+
+    def test_special_values(self, tmp_path):
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            2.225073858507201e-308, np.finfo(np.float64).max, -np.finfo(np.float64).max])
+        # each once, in the table of a repeating column, and in a column printed per value
+        assert_printed_as_str(tmp_path / "table.csv", special)
+        assert_printed_as_str(tmp_path / "per_value.csv", np.concatenate((special, np.arange(1.0, 2 * io._TABLE_ROWS))))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_narrow_floats(self, tmp_path, rng, dtype):
+        # every bit pattern of the narrower float, subnormals, inf and nan among them, widened exactly
+        width = np.dtype(dtype).itemsize * 8
+        bits = np.arange(2**16, dtype=np.uint16) if width == 16 else rng.integers(0, 2**32, 200_000, dtype=np.uint32)
+        assert_printed_as_str(tmp_path / "narrow.csv", bits.view(dtype))
+
+    @pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8, reason="long double is a double here")
+    def test_wider_floats_rejected(self, tmp_path):
+        # the printer widens floats to float64 exactly; a wider float would lose digits
+        with pytest.raises(TypeError, match="at most 64 bits"):
+            io.write_csv(tmp_path / "long.csv", ["value"], columns=[np.ones(3, dtype=np.longdouble)])
+
+    def test_integer_extremes(self, tmp_path):
+        for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64):
+            info = np.iinfo(dtype)
+            values = np.array([info.min, info.max, 0, 1, info.max - 1, 9, 10, 99, 100], dtype=dtype)
+            assert_printed_as_str(tmp_path / "extremes.csv", values)
+            assert_printed_as_str(tmp_path / "powers.csv", np.array([10**j for j in range(len(str(info.max)))], dtype=dtype))

@@ -29,6 +29,19 @@ class TestScanDetection:
         trace = ScanTrace(y)
         assert scans.detect_scan_resonances(trace, prominence=1.0) == []
 
+    @pytest.mark.parametrize("seed", [0, 101])
+    def test_synth_trace_matches_the_term_by_term_sum(self, seed):
+        # the in-place terms are these operations, in this order, bit for bit
+        pos = np.arange(285_000, dtype=float)
+        width = 30_000.0 / 2200.0
+        y = np.zeros(pos.size)
+        for i in range(9):
+            c = 15_000.0 + i * 30_000.0
+            y += 1.0 / (1.0 + (2.0 * (pos - c) / width) ** 2)
+            y += 0.25 / (1.0 + (2.0 * (pos - c - 6_000.0) / width) ** 2)
+        y += np.random.default_rng(seed).normal(0.0, 0.004, pos.size)
+        assert synth.synth_scan_trace(seed=seed).transmission.tobytes() == y.tobytes()
+
     def test_trace_left_unchanged(self):
         trace = synth.synth_scan_trace(n_fundamental=5, seed=3)
         before = trace.transmission.copy()
