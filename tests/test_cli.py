@@ -314,6 +314,33 @@ class TestLabWorkingSet:
         assert (tmp_path / "scan_analysis.json").exists()
 
 
+DATA = Path(__file__).parent / "data"
+# the fit stops on a cost tolerance, which pins tau0 and eta_qe to about 6e-10
+# relative: a last-bit change to F_p moves eta_qe by up to 5.7e-10
+_FIT_RTOL = 1e-8
+
+
+class TestCavityDesignNumbers:
+    def test_pinned(self, tmp_path):
+        # metrics, purcell --points 40 and fit-lifetime on a fixed lifetimes file, against
+        # the numbers of tests/data/cavity_design.json
+        pinned = json.loads((DATA / "cavity_design.json").read_text())
+        assert run(tmp_path, "metrics", "--wavelength", "737.25") == 0
+        assert run(tmp_path, "purcell", "--points", "40") == 0
+        assert run(tmp_path, "fit-lifetime", "--data", str(DATA / "lifetimes.csv")) == 0
+        out = json.loads((tmp_path / "metrics.json").read_text())
+        got = {**out["mode_geometry"], "quality_factor": out["quality_factor"]}
+        for key, value in pinned["metrics"].items():
+            assert got[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
+        with open(tmp_path / "purcell.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for key, values in pinned["purcell"].items():
+            np.testing.assert_allclose([float(r[key]) for r in rows], values, rtol=1e-10, atol=0.0, err_msg=key)
+        params = json.loads((tmp_path / "fit_lifetime.json").read_text())["fit"]["params"]
+        for key, value in pinned["fit_lifetime"].items():
+            assert params[key]["value"] == pytest.approx(value, rel=_FIT_RTOL, abs=0.0), key
+
+
 class TestEmptyCavityPurcell:
     @pytest.mark.parametrize("command", ["purcell", "fit-lifetime"])
     def test_one_error_line_no_traceback(self, tmp_path, capsys, command):
