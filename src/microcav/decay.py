@@ -34,7 +34,7 @@ class DecayShapeError(ValueError):
     """Trace does not look like a decaying signal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayTrace:
     """TCSPC histogram: uniform time grid in ns, event counts per bin."""
 

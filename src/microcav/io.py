@@ -164,12 +164,12 @@ def _column_printer(column: np.ndarray):
     The printed text of each value is ``str()`` of its ``tolist()`` value:
     the slots ``keep`` marks, in order.  Integers are printed per value.
     So are floats, widened exactly to float64, except that a float column
-    with at most _TABLE_ROWS distinct bit patterns (the gap and wavelength
-    columns of a dispersion map) prints each pattern once, into a table,
-    and looks up each chunk's patterns in it; -0.0 and each NaN keep their
-    own text.  A column whose first _TABLE_ROWS + 1 values are all distinct
-    has more patterns than that, so it is not sorted.  A bool column looks
-    its values up in the table of "False" and "True".
+    with at most min(_TABLE_ROWS, rows / 2) distinct bit patterns (the gap
+    and wavelength columns of a dispersion map) prints each pattern once,
+    into a table, and looks up each chunk's patterns in it; -0.0 and each
+    NaN keep their own text.  A column whose first (that limit) + 1 values
+    are all distinct has more patterns, so it is not sorted.  A bool column
+    looks its values up in the table of "False" and "True".
     """
     # loaded (and, where bytecode is not cached, compiled) only by the
     # commands that write columns, not by every import of the CLI
@@ -185,7 +185,8 @@ def _column_printer(column: np.ndarray):
         wide = np.int64 if kind == "i" else np.uint64
         return printer.INT_SLOTS, lambda slots, keep, start, stop: printer.print_integers(column[start:stop].astype(wide), slots, keep)
     bits = column.view(f"u{column.itemsize}")
-    if _distinct(bits[: _TABLE_ROWS + 1]).size <= _TABLE_ROWS and (distinct := _distinct(bits)).size <= _TABLE_ROWS:
+    limit = min(_TABLE_ROWS, bits.size // 2)
+    if _distinct(bits[: limit + 1]).size <= limit and (distinct := _distinct(bits)).size <= limit:
         table = np.empty((distinct.size, printer.FLOAT_SLOTS), np.uint8), np.empty((distinct.size, printer.FLOAT_SLOTS), bool)
         printer.print_floats(_widened(distinct.view(column.dtype)), *table)
         return printer.FLOAT_SLOTS, _lookup(table, lambda start, stop: np.searchsorted(distinct, bits[start:stop]))

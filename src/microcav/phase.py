@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from . import constants
-from .stack import AIR, CavityAssembly
+from .stack import AIR, CavityAssembly, GeometryError
 from .tmm import _airy_step, _phase, amplitude_coefficients
 
 
@@ -127,6 +127,8 @@ class PhaseModel:
         (r_fiber, t_fiber), (r_plane, t_plane) = (amplitude_coefficients(m.as_stack(AIR), swept) for m in mirrors)
         self._coatings = _interpolants(np.column_stack([r_fiber, r_plane, t_fiber, t_plane]))
         r = np.column_stack([r_fiber, r_plane])
+        if not np.all(r):  # every index of a coating is 1
+            raise GeometryError("a coating without an index step reflects nothing: its phase is undefined")
         self._n_substrate = np.array([m.substrate.nc for m in mirrors])
         self._arg_nodes = np.unwrap(np.angle(r[2:-2]), axis=0)
         rho = abs((self._n - AIR.nc) / (self._n + AIR.nc))

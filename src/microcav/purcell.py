@@ -2,9 +2,10 @@
 
 The enhancement chain for an emitter ensemble in the membrane:
 
-* xi, the spatial/directional overlap of the dipole with the standing
-  wave at the assembly's implantation depth, read from the same per-layer
-  field solution as L_eff, one ``StandingWave`` for every gap of a sweep;
+* xi, the overlap of the dipole with the standing wave at the assembly's
+  implantation depth, and L_eff, from one ``StandingWave`` per sweep: the
+  stored energy from the cavity's r, t and their frequency derivatives
+  (Winful, PRL 91, 260401 (2003)), so every layer must be lossless;
 * Q_eff, the harmonic combination of the ensemble and cavity quality
   factors;
 * F_p = xi^2 * 3 (lambda/n)^3 Q_eff / (4 pi^2 V_m);
@@ -84,10 +85,10 @@ def load_emitter(path: str | Path) -> EmitterParams:
 def xi_overlap(wave: StandingWave, implant_depth_nm: float, dipole_angle_rad: float = 0.0) -> np.ndarray:
     """Field overlap |E(z_em)| / max |E| in the membrane, times |cos(angle)|, per gap of ``wave``.
 
-    Exact on the per-layer solution: |a e^{ikz} + b e^{-ikz}|^2 at the
-    implant depth over its peak in the membrane layer, which ``wave`` locates
-    by position.  ``implant_depth_nm`` is measured from the membrane's
-    fiber-facing surface.
+    Exact on the membrane's amplitudes: |a e^{ikz} + b e^{-ikz}|^2 at the
+    implant depth over its analytic peak in the membrane layer, which
+    ``wave`` locates by position.  ``implant_depth_nm`` is measured from the
+    membrane's fiber-facing surface.
     """
     j = wave.i_membrane
     if j is None:
@@ -161,12 +162,12 @@ def operating_point(pm: PhaseModel, wavelength_nm: float,
     """Resonant gap nearest ``target_gap_nm``, the mode geometry there and its standing wave.
 
     Retunes the gap of ``pm.assembly`` so that ``wavelength_nm`` is on
-    resonance, solves the field there, and takes L_eff from it, then the
-    waist and V_m.  The wave serves the emitter overlap.
+    resonance, reads the field there off ``pm``, and takes L_eff from it,
+    then the waist and V_m.  The wave serves the emitter overlap.
     """
     gap, q = pm.retune_gap(wavelength_nm, target_gap_nm)
     w0 = _waist(pm.assembly, wavelength_nm, gap)
-    wave = StandingWave(pm.assembly, wavelength_nm, gap)
+    wave = StandingWave(pm, wavelength_nm, gap)
     l_eff = float(wave.effective_length_um()[0])
     v_m = metrics.mode_volume(w0, l_eff)
     return gap, metrics.ModeGeometry(w0, v_m, metrics.mode_volume_lambda3(v_m, wavelength_nm), l_eff, q), wave
@@ -216,7 +217,7 @@ def predict_lifetime_curve(
     finesse = metrics.finesse_from_losses(metrics.loss_budget(pm, wl, membrane_loss_ppm))
     targets = np.atleast_1d(np.asarray(gaps_nm, dtype=float)).tolist()
     retuned = [_or_error(pm.retune_gap, wl, g) for g in targets]
-    wave = StandingWave(assembly, wl, [r[0] for r in retuned if not isinstance(r, Exception)])
+    wave = StandingWave(pm, wl, [r[0] for r in retuned if not isinstance(r, Exception)])
     fields = zip(wave.effective_length_um().tolist(),
                  xi_overlap(wave, assembly.implant_depth_nm, emitter.dipole_angle_rad).tolist())
     points = []
@@ -231,8 +232,9 @@ class LifetimeModel:
     """F_p(L_eff) in closed form, for lifetime fitting.
 
     At the emitter's wavelength xi does not depend on the gap, and L_eff is
-    affine in the resonant gap.  One ``StandingWave`` at two resonant gaps,
-    near r_c / 4 and r_c / 2, gives xi and the line L_eff = slope * gap +
+    affine in the resonant gap: only the gap's phase derivative in its stored
+    energy grows with it.  One ``StandingWave`` at two resonant gaps, near
+    r_c / 4 and r_c / 2, gives xi and the line L_eff = slope * gap +
     intercept.  ``f_p(L)`` runs ``predict_lifetime_curve``'s chain at gap(L):
     w0 from the geometric length, V_m, Q_c, Q_eff and F_p.  Every L_eff of
     ``l_eff_range_um`` must map to a gap >= 0 and a stable resonator, else
@@ -246,7 +248,7 @@ class LifetimeModel:
         pm = PhaseModel(assembly, wl - 10.0, wl + 10.0)
         self.finesse = metrics.finesse_from_losses(metrics.loss_budget(pm, wl, membrane_loss_ppm))
         gaps = [pm.retune_gap(wl, 1e3 * assembly.r_c_um / n)[0] for n in (4.0, 2.0)]
-        wave = StandingWave(assembly, wl, gaps)
+        wave = StandingWave(pm, wl, gaps)
         self.xi = float(xi_overlap(wave, assembly.implant_depth_nm, emitter.dipole_angle_rad)[0])
         l0, l1 = wave.effective_length_um().tolist()
         self.slope_um_per_nm = (l1 - l0) / (gaps[1] - gaps[0])

@@ -18,11 +18,11 @@ PRA 92, 043844 (2015)).  It is the one model of the cavity's response:
   gap at once: a sign scan of the analytic slope |D|^2 d ln T / d lambda
   over the nodes brackets each maximum, false position solves it, and it
   is labelled by the order round(Phi / 2 pi) - 1 there;
-* ``StandingWave`` builds the field at every gap of a sweep from three
-  per-layer solves of the same two halves (the fiber coating driven from
-  either side, the rest driven from the gap), joined through the gap's
-  forward and backward amplitudes; L_eff, the emitter overlap and the
-  membrane-interface weight are read from it.
+* ``StandingWave`` reads the field at every gap of a sweep off the same
+  halves in closed form: the stored energy from the whole cavity's r, t
+  and their frequency derivatives (Winful, PRL 91, 260401 (2003)), the
+  amplitudes from the Airy steps; L_eff, the emitter overlap and the
+  membrane-interface weight follow, with no per-layer solve.
 
 The mode order convention q = round(phase / 2pi) - 1 counts out the two
 ~pi mirror reflection phases; for an ideal empty cavity it reproduces
@@ -41,10 +41,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phase import NoResonanceError, PhaseModel
-from .stack import AIR, CavityAssembly, GeometryError, Layer, split_at_gap
+from .phase import NoResonanceError, PhaseModel, _rest_slopes, _rest_steps
+from .stack import CavityAssembly, GeometryError
 # amplitude_coefficients stays bound here, where the benchmark's tracer and its self-test wrap it
-from .tmm import _wave_amplitudes, amplitude_coefficients  # noqa: F401
+from .tmm import amplitude_coefficients  # noqa: F401
 
 
 # Illinois false position on the transmission slope stops once a bracket's step is below the tolerance
@@ -130,7 +130,7 @@ def find_resonances(
             for g, w, q, c in zip(gap, wl, pm.mode_order(wl, gap), classify_character(pm, gap, wl))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionMap:
     """Transmission T(gap, wavelength) on a dense rectangular grid.
 
@@ -174,98 +174,80 @@ def dispersion_map(
 
 # L_eff is defined within this many cavity linewidths of a resonance
 _RESONANCE_TOLERANCE_LINEWIDTHS = 0.5
-# an amplitude below this is zero for a layer's energy and peak
-_TINY = 1e-140
 
 
-def _expm1_over(c, d):
-    """(exp(c d) - 1)/c with the c -> 0 limit; vectorized."""
-    x = c * d
-    small = np.abs(x) < 1e-12
-    with np.errstate(over="ignore"):
-        return np.where(small, d * (1.0 + 0.5 * x), np.expm1(x) / np.where(small, 1.0, c))
-
-
-def _layer_energy(a, b, k, d):
-    """Integral of |a e^{ikz} + b e^{-ikz}|^2 over z in [0, d]; vectorized."""
-    has_a, has_b = np.abs(a) > _TINY, np.abs(b) > _TINY
-    with np.errstate(invalid="ignore"):  # a dropped term may be 0 * inf
-        total = (np.where(has_a, np.abs(a) ** 2 * _expm1_over(-2.0 * k.imag, d), 0.0)
-                 + np.where(has_b, np.abs(b) ** 2 * _expm1_over(2.0 * k.imag, d), 0.0))
-    cross = a * np.conj(b) * (np.exp(2j * k.real * d) - 1.0) / (2j * k.real)
-    return total + np.where(has_a & has_b, 2.0 * cross.real, 0.0)
-
-
-def _peak_intensity(a, b, k: complex, d):
-    """Max of |a e^{ikz} + b e^{-ikz}|^2 over z in [0, d]; vectorized over a, b and d.
-
-    Exact in a lossless layer; a lossy one is sampled at 2001 depths.
-    """
-    if abs(k.imag) > 1e-12:
-        z = np.linspace(0.0, np.broadcast_to(d, np.shape(a)), 2001)
-        return np.max(np.abs(a * np.exp(1j * k * z) + b * np.exp(-1j * k * z)) ** 2, axis=0)
-    # the antinode, where cos(2 k z + arg(a b*)) = 1, folded into the first period
-    period = np.pi / k.real
-    z_star = -np.angle(a * np.conj(b)) / (2.0 * k.real)
-    z_star -= np.floor(z_star / period) * period
-    ends = np.maximum(np.abs(a + b) ** 2, np.abs(a * np.exp(1j * k.real * d) + b * np.exp(-1j * k.real * d)) ** 2)
-    peak = np.where((0.0 <= z_star) & (z_star <= d), (np.abs(a) + np.abs(b)) ** 2, ends)
-    return np.where((np.abs(a) < _TINY) | (np.abs(b) < _TINY), np.abs(a) ** 2 + np.abs(b) ** 2, peak)
+def _absorbing(assembly: CavityAssembly) -> list[str]:
+    """Each medium with kappa > 0, by where it sits; coating layers count from their substrate."""
+    media = [("membrane", assembly.membrane.material)] if assembly.membrane is not None else []
+    for side, mirror in (("fiber", assembly.fiber_mirror), ("plane", assembly.plane_mirror)):
+        media += [(f"{side} substrate", mirror.substrate)]
+        media += [(f"{side} coating layer {i}", layer.material) for i, layer in enumerate(mirror.layers)]
+    return [f"{where} ({m.name!r}, kappa {m.kappa:g})" for where, m in media if m.kappa > 0.0]
 
 
 class StandingWave:
-    """The field at one wavelength and every gap of a sweep, from three sub-stack solves.
+    """The field at one wavelength and every gap of a sweep, in closed form on the caller's ``PhaseModel``.
 
-    The cavity is cut at the fiber-side gap (``split_at_gap``), and
-    ``tmm._wave_amplitudes`` solves the fiber coating driven from its
-    substrate, the fiber coating driven from the gap, and the rest of the
-    stack driven from the gap, once each.  At gap t_g the gap carries
-    ``a = t_s / (1 - r_f r_rest e^{2ik t_g})`` forward and
-    ``b = r_rest e^{2ik t_g} a`` backward; by linearity a coating layer holds
-    its substrate-driven field plus b times its gap-driven one, and a layer
-    beyond the gap ``a e^{ik t_g}`` times its own.
+    From the fiber substrate (index n_s) the cavity reflects ``r = -r_f* t_f / t_f* + n_s t_f^2 r_rest e^{2ik t_g} / D``
+    and transmits ``t = n_s t_f t_rest e^{ik t_g} / D``, ``D = 1 - r_f r_rest e^{2ik t_g}``, with (r_f, t_f) the fiber
+    coating's and (r_rest, t_rest) the rest's, from the gap.  In a lossless stack they fix the stored energy per
+    unit incident wave (Winful, PRL 91, 260401 (2003)): ``integral n^2 |E|^2 dz = n_s Im(r* dr/dk) + n_p Im(t* dt/dk)
+    + n_s Im(r) / k``, k the vacuum wavenumber, with every d/dlambda analytic from ``pm``.  An absorbing layer
+    breaks the identity and raises ``ValueError``.
 
-    Layers run fiber coating (substrate first), gap, rest; ``i_gap`` and
-    ``i_membrane`` (None without a membrane) index them.  At the g-th gap the
-    field in layer j is ``a[j, g] e^{ik_j z} + b[j, g] e^{-ik_j z}``, z from
-    the layer's fiber-side face, in units of the wave incident from the fiber.
+    Layers 0, 1 and 2 are the gap, the membrane (of zero thickness, and ``i_membrane`` None, without one) and the
+    second gap.  At the g-th gap layer j holds ``a[j, g] e^{ik_j z} + b[j, g] e^{-ik_j z}``, z from its fiber-side
+    face: ``a = n_s t_f / D`` and ``b = r_rest e^{2ik t_g} a`` in the gap; beyond it each forward amplitude is the
+    arriving one times the layer's Airy-step g, and the backward one R times that (``tmm._airy_step``).
     """
 
-    def __init__(self, assembly: CavityAssembly, wavelength_nm: float, gaps_nm):
-        fiber, rest = split_at_gap(assembly)
-        self.assembly, self.gaps_nm = assembly, np.atleast_1d(np.asarray(gaps_nm, dtype=float))
-        self.i_gap = len(assembly.fiber_mirror.layers)
-        self.i_membrane = None if assembly.membrane is None else self.i_gap + 1
-        layers = (*assembly.fiber_mirror.layers, Layer(AIR, 1.0), *rest.layers)  # the gap's thickness varies
-        self.n = np.array([layer.material.n for layer in layers])
-        self.k = 2.0 * np.pi * np.array([layer.material.nc for layer in layers]) / wavelength_nm
-        thickness = np.array([layer.thickness_nm for layer in layers])
-        self.d = np.repeat(thickness[:, None], self.gaps_nm.size, axis=1)
-        self.d[self.i_gap] = self.gaps_nm
+    def __init__(self, pm: PhaseModel, wavelength_nm: float, gaps_nm):
+        wl, absorbing = float(wavelength_nm), _absorbing(pm.assembly)
+        if absorbing:
+            raise ValueError(f"{absorbing[0]} absorbs: the standing wave in closed form needs lossless layers")
+        if not pm.wl[0] <= wl <= pm.wl[-1]:
+            raise ValueError(f"{wl} nm is outside the phase model's {pm.wl[0]:.2f}-{pm.wl[-1]:.2f} nm")
+        self.assembly, self.gaps_nm = pm.assembly, np.atleast_1d(np.asarray(gaps_nm, dtype=float))
+        self.i_membrane = None if pm.assembly.membrane is None else 1
+        self.n = np.array([1.0, pm._n.real, 1.0])
+        self.k = 2.0 * np.pi * self.n / wl
+        self.d = np.array(np.broadcast_arrays(self.gaps_nm, pm.t_d_nm, pm.t_g2_nm))
 
-        a_substrate, b_substrate, _, t_s = _wave_amplitudes(fiber.reversed(), wavelength_nm)
-        a_from_gap, b_from_gap, r_f, _ = _wave_amplitudes(fiber, wavelength_nm)
-        a_rest, b_rest, r_rest, t_rest = _wave_amplitudes(rest, wavelength_nm)
-        if t_s == 0.0 or t_rest == 0.0:  # an opaque coating passes no light to or from the gap
-            raise ValueError(f"a coating is opaque at {wavelength_nm} nm: its transmission underflows")
-        round_trip = r_rest * np.exp(2j * self.k[self.i_gap] * self.gaps_nm)
-        a = t_s / (1.0 - r_f * round_trip)
-        b = round_trip * a
-        # the gap-driven coating field, turned to run substrate first: in each layer
-        # a' e^{ik(d - z)} + b' e^{-ik(d - z)} is (b' e^{-ikd}) e^{ikz} + (a' e^{ikd}) e^{-ikz}
-        phase = np.exp(1j * self.k[:self.i_gap] * thickness[:self.i_gap])
-        turned_a, turned_b = b_from_gap[::-1] / phase, a_from_gap[::-1] * phase
-        forward = a * np.exp(1j * self.k[self.i_gap] * self.gaps_nm)
-        self.a = np.concatenate([a_substrate[:, None] + turned_a[:, None] * b, a[None], a_rest[:, None] * forward])
-        self.b = np.concatenate([b_substrate[:, None] + turned_b[:, None] * b, b[None], b_rest[:, None] * forward])
+        _, coatings, slopes = pm._coatings_at(np.asarray(wl))
+        (r_f, r_plane, t_f, t_plane), (dln_r_f, dln_r_plane, dln_t_f, dln_t_plane) = coatings, slopes / coatings
+        steps = _rest_steps(pm._n, pm.t_d_nm, pm.t_g2_nm, wl, r_plane, t_plane)
+        dln_r_rest, dln_t_rest, _ = _rest_slopes(pm._n, pm.t_d_nm, pm.t_g2_nm, wl, steps, dln_r_plane, dln_t_plane)
+        (_, _, big_r2, g2), (r_rest, t_rest, big_r_d, g_d) = steps
+        e, dln_e = np.exp(1j * self.k[0] * self.gaps_nm), -1j * self.k[0] * self.gaps_nm / wl
+        round_trip = r_f * r_rest * e * e
+        denom = 1.0 - round_trip
+        dln_denom = -round_trip * (dln_r_f + dln_r_rest + 2.0 * dln_e) / denom
+
+        n_s, n_p = pm._n_substrate.real
+        r_coating, r_cavity = -np.conj(r_f) * t_f / np.conj(t_f), n_s * t_f * t_f * r_rest * e * e / denom
+        r = r_coating + r_cavity
+        dr = (r_coating * (np.conj(dln_r_f) + 2j * dln_t_f.imag)
+              + r_cavity * (2.0 * dln_t_f + dln_r_rest + 2.0 * dln_e - dln_denom))
+        t = n_s * t_f * t_rest * e / denom
+        dt = t * (dln_t_f + dln_t_rest + dln_e - dln_denom)
+        # d/dk = -lambda^2 / (2 pi) d/dlambda
+        self.energy = n_s * r.imag / self.k[0] - wl * wl / (2.0 * np.pi) * (n_s * (np.conj(r) * dr).imag
+                                                                             + n_p * (np.conj(t) * dt).imag)
+        a = n_s * t_f / denom
+        a_d = g_d * a * e
+        a_2 = g2 * a_d * np.exp(1j * self.k[1] * pm.t_d_nm)
+        self.a, self.b = np.array([a, a_d, a_2]), np.array([r_rest * e * e * a, big_r_d * a_d, big_r2 * a_2])
 
     def intensity(self, j: int, z_nm):
         """|a e^{ikz} + b e^{-ikz}|^2 at depth ``z_nm`` into layer j, per gap."""
         return np.abs(self.a[j] * np.exp(1j * self.k[j] * z_nm) + self.b[j] * np.exp(-1j * self.k[j] * z_nm)) ** 2
 
     def peak_intensity(self, j: int):
-        """Max of ``intensity(j, z)`` over the layer, per gap."""
-        return _peak_intensity(self.a[j], self.b[j], self.k[j], self.d[j])
+        """Max of ``intensity(j, z)`` over the layer, per gap: (|a| + |b|)^2 at an antinode inside it, else at a face."""
+        a, b, k, d = self.a[j], self.b[j], self.k[j], self.d[j]
+        # the first antinode, where cos(2 k z + arg(a b*)) = 1
+        z_star = -np.angle(a * np.conj(b)) / (2.0 * k) % (np.pi / k)
+        return np.where(z_star <= d, (np.abs(a) + np.abs(b)) ** 2, np.maximum(self.intensity(j, 0.0), self.intensity(j, d)))
 
     def effective_length_um(self) -> np.ndarray:
         """2 * integral of n^2 |E|^2 over the stack / its peak in the host layer, in um, per gap.
@@ -274,9 +256,8 @@ class StandingWave:
         """
         if self.i_membrane is None and not np.all(self.gaps_nm > 0):
             raise ValueError("an empty cavity needs a nonzero gap to host the mode")
-        j = self.i_gap if self.i_membrane is None else self.i_membrane
-        energy = self.n[:, None] ** 2 * _layer_energy(self.a, self.b, self.k[:, None], self.d)
-        return 2e-3 * np.sum(energy, axis=0) / (self.n[j] ** 2 * self.peak_intensity(j))
+        j = 0 if self.i_membrane is None else self.i_membrane
+        return 2e-3 * self.energy / (self.n[j] ** 2 * self.peak_intensity(j))
 
     def membrane_interface_weight(self) -> np.ndarray:
         """n^2 |E|^2 at the membrane's fiber-facing surface over the peak intracavity n^2 |E|^2, per gap.
@@ -286,10 +267,8 @@ class StandingWave:
         """
         if self.i_membrane is None:
             raise ValueError("assembly has no membrane")
-        n2 = self.n**2
-        j = self.i_membrane
-        inner = range(self.i_gap, self.n.size - len(self.assembly.plane_mirror.layers))
-        peak = np.max([n2[i] * self.peak_intensity(i) for i in inner], axis=0)
+        n2, j = self.n**2, self.i_membrane
+        peak = np.max([n2[i] * self.peak_intensity(i) for i in range(3)], axis=0)
         return np.clip(n2[j] * np.abs(self.a[j] + self.b[j]) ** 2 / peak, 0.0, 1.0)
 
 
@@ -314,4 +293,4 @@ def effective_length(assembly: CavityAssembly, wavelength_nm: float) -> float:
             f"{wavelength_nm} nm is {abs(wavelength_nm - wl_res):.4g} nm from the nearest "
             f"resonance at {wl_res:.4f} nm (linewidth {width:.4g} nm)"
         )
-    return float(StandingWave(assembly, wavelength_nm, assembly.gap_nm).effective_length_um()[0])
+    return float(StandingWave(pm, wavelength_nm, assembly.gap_nm).effective_length_um()[0])

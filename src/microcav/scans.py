@@ -38,7 +38,7 @@ def _median(x: np.ndarray) -> float:
     return float(np.mean(part[middle[0]:middle[-1] + 1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanTrace:
     """Uniformly sampled cavity-length scan, detector units."""
 
@@ -111,7 +111,7 @@ def finesse_from_scan(peaks: list[ScanPeak]) -> float:
     return float(np.mean(spacings) / mean_fwhm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LockTrace:
     """Transmission time trace near a lock setpoint, plus cavity metadata."""
 
@@ -146,7 +146,7 @@ class LockTrace:
         return self.wavelength_nm / (2.0 * self.finesse) * 1e3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LengthDeviation:
     """Per-sample cavity length deviation from the lock setpoint."""
 
@@ -213,7 +213,7 @@ def fringe_transmission(delta_pm, linewidth_pm: float, setpoint_fraction: float 
     return t_max / (1.0 + (2.0 * d / linewidth_pm) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSpectrum:
     """One-sided amplitude spectral density of a length-deviation series.
 

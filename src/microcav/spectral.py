@@ -17,7 +17,7 @@ from .fitting import DegenerateFitWarning, FitResult, lm_fit
 from .peaks import find_peaks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTrace:
     """Sampled emission spectrum; x in nm (or GHz), y in counts."""
 

@@ -3,9 +3,7 @@
 The 1D optical world is an ordered sequence of homogeneous layers between
 two semi-infinite media.  ``CavityAssembly`` describes the full
 mirror / gap / membrane / gap / mirror geometry plus the transverse
-parameters; ``split_at_gap`` cuts it at the fiber-side gap into two plain
-``LayerStack``s, the fiber coating and the rest, for the multilayer
-solver.
+parameters.
 
 All objects are immutable value types; builders are pure functions, so
 identical inputs always produce identical stacks.
@@ -109,10 +107,6 @@ class LayerStack:
         for l in self.layers:
             z.append(z[-1] + l.thickness_nm)
         return z
-
-    def reversed(self) -> "LayerStack":
-        """Same physical structure traversed from the other side."""
-        return LayerStack(self.exit, tuple(reversed(self.layers)), self.entry)
 
 
 @dataclass(frozen=True)
@@ -237,30 +231,13 @@ def hard_mirror(kappa: float = 1e5, thickness_nm: float = 0.012) -> Mirror:
     """Idealized hard reflector for oracle tests (not a physical coating).
 
     A layer with n = 1 and large kappa reflects with phase pi - 2/kappa and
-    the mode penetrates only lambda/(2 pi kappa) into it, so an empty
-    cavity bounded by two of these has an effective length equal to its
-    geometric gap to within picometers at the defaults.  The layer is kept
-    thin enough that the attenuated feed-through field stays negligible
+    the mode penetrates only lambda/(2 pi kappa) into it, so an empty cavity
+    bounded by two of these resonates near lambda = 2 L / q.  The layer is
+    kept thin enough that the attenuated feed-through field stays negligible
     next to the resonant intracavity buildup.
     """
     m = Material("ideal-reflector", 1.0, kappa)
     return Mirror(SILICA, (Layer(m, thickness_nm),), excess_loss_ppm=0.0)
-
-
-def split_at_gap(assembly: CavityAssembly) -> tuple[LayerStack, LayerStack]:
-    """The cavity cut open at the fiber-side air gap: (fiber, rest).
-
-    ``fiber`` is the fiber coating and ``rest`` everything beyond the gap
-    (membrane, second air gap, plane coating), each seen from the gap.  A zero
-    second gap is omitted, so the membrane then sits on the plane coating.
-    """
-    rest: list[Layer] = []
-    if assembly.membrane is not None:
-        rest.append(assembly.membrane)
-    if assembly.gap2_nm > 0:
-        rest.append(Layer(AIR, assembly.gap2_nm))
-    rest.extend(reversed(assembly.plane_mirror.layers))
-    return assembly.fiber_mirror.as_stack(AIR), LayerStack(AIR, tuple(rest), assembly.plane_mirror.substrate)
 
 
 # ---------------------------------------------------------------------------

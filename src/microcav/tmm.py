@@ -20,11 +20,11 @@ depth and nothing is rescaled; an opaque layer makes t underflow to 0.
 
 The per-layer field comes from the same fold: forward amplitudes are the
 products a_0 = g_0, a_{j+1} = g_{j+1} a_j e^{ik_j d_j}, backward ones
-b_j = R_j a_j.  All wavelength arguments accept scalars or arrays
-(vectorized over wavelength).  The package solves single coatings and the
-cavity beyond the fiber-side gap, never the whole cavity, in two places:
-``phase.PhaseModel`` sweeps the coatings (``amplitude_coefficients``) and
-``resonance.StandingWave`` joins per-layer amplitudes (``_wave_amplitudes``).
+b_j = R_j a_j; ``field_profile`` samples it.  All wavelength arguments
+accept scalars or arrays (vectorized over wavelength).  The package runs
+the TMM in one place, ``phase.PhaseModel``'s sweep of the two coatings;
+``resonance.StandingWave`` reads L_eff and the overlaps off that model in
+closed form (Winful, PRL 91, 260401 (2003)), with no per-layer solve.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .stack import LayerStack
 __all__ = ["FieldProfile", "amplitude_coefficients", "field_profile"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldProfile:
     """Sampled standing-wave amplitude through a stack at one wavelength.
 
@@ -116,7 +116,7 @@ def amplitude_coefficients(stack: LayerStack, wavelength_nm):
 
 
 def _wave_amplitudes(stack: LayerStack, wavelength_nm: float):
-    """Forward and backward amplitudes per layer at one wavelength: ``(a, b, r, t)``.
+    """Forward and backward amplitudes per layer, and the stack's t, at one wavelength: ``(a, b, t)``.
 
     In layer j the field is ``a[j] exp(ik(z - z_j)) + b[j] exp(-ik(z - z_j))``
     in units of the incident wave (amplitude 1 in the entry medium), read
@@ -124,10 +124,9 @@ def _wave_amplitudes(stack: LayerStack, wavelength_nm: float):
     b_j = R_j a_j.  In an opaque stack the layers past the opaque one hold 0.
     """
     steps = list(_fold(stack, float(wavelength_nm)))[::-1]  # layer 0 first, the exit face last
-    phase, R, g, _, _ = np.array(steps).T
+    phase, R, g, _, t = np.array(steps).T
     a = np.cumprod(g * np.concatenate(([1.0], phase[:-1])))[:-1]
-    _, _, _, r, t = steps[0]
-    return a, R[:-1] * a, complex(r), complex(t)
+    return a, R[:-1] * a, complex(t[0])
 
 
 def field_profile(stack: LayerStack, wavelength_nm: float, samples_per_layer: int = 50) -> FieldProfile:
@@ -140,7 +139,7 @@ def field_profile(stack: LayerStack, wavelength_nm: float, samples_per_layer: in
     """
     if samples_per_layer < 2:
         raise ValueError("samples_per_layer must be >= 2")
-    a, b, _, t = _wave_amplitudes(stack, wavelength_nm)
+    a, b, t = _wave_amplitudes(stack, wavelength_nm)
     edges = stack.boundaries_nm()
     zs, Es, ns, segs = [], [], [], []
     for j, layer in enumerate(stack.layers):

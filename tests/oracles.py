@@ -7,6 +7,8 @@ the fiber-side gap; these are independent references:
   rescaled per wavelength point past max|m| = 1e120;
 * ``backward_amplitudes``: per-layer amplitudes by propagating (t, 0)
   backwards from the exit medium, with per-layer log scales;
+* ``split_at_gap``: the fiber coating and everything beyond the fiber-side
+  gap as two ``LayerStack``s, each seen from the gap;
 * ``flatten_assembly``: fiber coating, gap, membrane, second gap and plane
   coating as one ``LayerStack``;
 * ``transmission`` of a stack from its matrix product;
@@ -32,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from microcav.phase import _ANCHOR_NM, _rest_steps
-from microcav.stack import AIR, CavityAssembly, Layer, LayerStack, split_at_gap
+from microcav.stack import AIR, CavityAssembly, Layer, LayerStack
 from microcav.tmm import amplitude_coefficients
 
 
@@ -165,6 +167,22 @@ def _scale_factors(log_scales: np.ndarray) -> np.ndarray:
     ref = np.max(log_scales) if np.max(np.abs(log_scales)) > 600.0 else 0.0
     with np.errstate(under="ignore"):
         return np.exp(log_scales - ref)
+
+
+def split_at_gap(assembly: CavityAssembly) -> tuple[LayerStack, LayerStack]:
+    """The cavity cut open at the fiber-side air gap: (fiber, rest).
+
+    ``fiber`` is the fiber coating and ``rest`` everything beyond the gap
+    (membrane, second air gap, plane coating), each seen from the gap.  A zero
+    second gap is omitted, so the membrane then sits on the plane coating.
+    """
+    rest: list[Layer] = []
+    if assembly.membrane is not None:
+        rest.append(assembly.membrane)
+    if assembly.gap2_nm > 0:
+        rest.append(Layer(AIR, assembly.gap2_nm))
+    rest.extend(reversed(assembly.plane_mirror.layers))
+    return assembly.fiber_mirror.as_stack(AIR), LayerStack(AIR, tuple(rest), assembly.plane_mirror.substrate)
 
 
 def flatten_assembly(assembly: CavityAssembly) -> LayerStack:

@@ -106,7 +106,7 @@ def test_criterion_05_roughness_bound():
         a = st.default_assembly(membrane={"thickness_nm": float(t_d), "n": constants.N_DIAMOND, "sigma_rms_nm": 3.6})
         pm = PhaseModel(a, 730.0, 745.0)
         gap, _ = pm.retune_gap(constants.SIV_ZPL_CD_NM, 6000.0)
-        w = StandingWave(a, constants.SIV_ZPL_CD_NM, gap).membrane_interface_weight()[0]
+        w = StandingWave(pm, constants.SIV_ZPL_CD_NM, gap).membrane_interface_weight()[0]
         loss = metrics.roughness_loss(3.6, constants.N_DIAMOND, 1.0, constants.SIV_ZPL_CD_NM, w)
         hits.append((t_d, loss))
     in_band = [(t_d, l) for t_d, l in hits if abs(l - 2100.0) <= 600.0]

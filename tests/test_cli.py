@@ -13,6 +13,7 @@ from microcav import io, metrics
 from microcav import stack as st
 from microcav.cli import main
 from microcav.purcell import EmitterParams, predict_lifetime_curve
+from microcav.resonance import PhaseModel
 from microcav.io import CsvFormatError
 from oracles import stack_response
 
@@ -261,18 +262,25 @@ class TestMetricsCommand:
         assert run(tmp_path, "metrics", "--assembly", str(tmp_path / "a.json")) == 0
         assert json.loads((tmp_path / "metrics.json").read_text())["loss_budget"]["membrane_ppm"] == 0.0
 
-    def test_three_field_solves_per_command(self, tmp_path, field_solves):
-        # metrics, a 40-point purcell sweep and fit-lifetime's two-gap solve each
-        # solve three sub-stacks, none of which holds both coatings
-        assembly = st.default_assembly()
-        both = len(assembly.fiber_mirror.layers) + len(assembly.plane_mirror.layers)
+    def test_no_field_solve_per_command(self, tmp_path, field_solves, layer_points, monkeypatch):
+        # metrics, a 40-point purcell sweep and fit-lifetime read L_eff and xi off their
+        # phase model: no per-layer field solve, and the TMM runs only in PhaseModel.__init__
+        in_init, init = [], PhaseModel.__init__
+
+        def counted(pm, *args):
+            before = len(layer_points)
+            init(pm, *args)
+            in_init.extend(layer_points[before:])
+
+        monkeypatch.setattr(PhaseModel, "__init__", counted)
         data = tmp_path / "lifetimes.csv"
         io.write_csv(data, ["l_eff_um", "tau_ns", "sigma_ns"], [(8.0, 1.30, 0.03), (15.0, 1.33, 0.03), (22.0, 1.34, 0.03)])
         for argv in (["metrics"], ["purcell", "--points", "40"], ["fit-lifetime", "--data", str(data)]):
-            field_solves.clear()
+            layer_points.clear()
+            in_init.clear()
             assert run(tmp_path, *argv) == 0
-            assert len(field_solves) == 3, argv
-            assert all(len(stack.layers) < both for stack in field_solves)
+            assert field_solves == [], argv
+            assert layer_points and in_init == layer_points, argv
 
     def test_provenance_records_the_membrane_loss_used(self, tmp_path):
         data = tmp_path / "lifetimes.csv"

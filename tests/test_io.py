@@ -254,6 +254,17 @@ class TestWriteCsvMatchesCsvWriter:
         io.write_csv(tmp_path / "asd.csv", ["asd"], columns=[rng.random(10 * io._TABLE_ROWS)])
         assert sorted_sizes == [io._TABLE_ROWS + 1]
 
+    def test_short_distinct_column_is_printed_per_value(self, tmp_path, rng, monkeypatch):
+        # a 2,049-row all-distinct column (an ASD of analyze-lock) has more patterns than
+        # half its rows: it is printed per value, never looked up in a table
+        looked_up = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(io.np, "searchsorted", lambda *a, **k: looked_up.append(1) or searchsorted(*a, **k))
+        assert_printed_as_str(tmp_path / "asd.csv", rng.random(2049))
+        assert looked_up == []
+        assert_printed_as_str(tmp_path / "repeats.csv", np.resize(rng.random(1024), 2049))
+        assert looked_up
+
 
 def assert_printed_as_str(path, column):
     """write_csv prints each value of a 1-D column as str() of its tolist() value."""

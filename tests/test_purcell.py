@@ -14,7 +14,7 @@ from oracles import flatten_assembly
 def cd_wave(membrane_assembly):
     pm = resonance.PhaseModel(membrane_assembly, 730, 745)
     gap, _ = pm.retune_gap(constants.SIV_ZPL_CD_NM, 6000.0)
-    return resonance.StandingWave(membrane_assembly, constants.SIV_ZPL_CD_NM, gap)
+    return resonance.StandingWave(pm, constants.SIV_ZPL_CD_NM, gap)
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +26,9 @@ def dense_membrane_profiles(membrane_assembly):
     out = []
     for gap_nm in (9000.0, 15000.0, 25000.0):
         cav = membrane_assembly.with_gap(pm.retune_gap(wl, gap_nm)[0])
-        wave = resonance.StandingWave(membrane_assembly, wl, cav.gap_nm)
+        wave = resonance.StandingWave(pm, wl, cav.gap_nm)
         prof = tmm.field_profile(flatten_assembly(cav), wl, samples_per_layer=40000)
-        z0, z1 = prof.segments[wave.i_membrane][:2]
+        z0, z1 = prof.segments[len(cav.fiber_mirror.layers) + 1][:2]  # the gap, then the membrane
         sel = (prof.z_nm >= z0) & (prof.z_nm <= z1)
         out.append((wave, prof.z_nm[sel] - z0, np.abs(prof.E[sel]) ** 2))
     return out
@@ -190,17 +190,13 @@ class TestLifetimeCurve:
             oracle = np.sqrt(np.interp(depth_nm, z, intensity) / np.max(intensity)) * np.cos(0.3)
             assert purcell.xi_overlap(wave, depth_nm, 0.3)[0] == pytest.approx(oracle, rel=0.0, abs=1e-6)
 
-    def test_field_solves_per_sweep_not_per_point(self, membrane_assembly, field_solves):
-        # three sub-stack solves serve the whole sweep, and none holds both coatings
-        both = len(membrane_assembly.fiber_mirror.layers) + len(membrane_assembly.plane_mirror.layers)
-        counts = []
+    def test_no_field_solve_per_sweep(self, membrane_assembly, field_solves, layer_points):
+        # the sweep's phase model serves the whole sweep: one coating sweep, no per-layer field solve
         for n_points in (7, 40):
-            field_solves.clear()
+            layer_points.clear()
             pts = predict_lifetime_curve(membrane_assembly, np.linspace(6000.0, 30_000.0, n_points), EmitterParams(), 1.36, 0.51)
             assert len(pts) == n_points and all(not p.flag for p in pts)
-            assert all(len(stack.layers) < both for stack in field_solves)
-            counts.append(len(field_solves))
-        assert counts == [3, 3]
+            assert len(layer_points) == 2 and field_solves == []
 
     def test_implant_depth_comes_from_the_assembly(self, membrane_assembly):
         gaps = np.linspace(6000.0, 30_000.0, 5)
@@ -209,7 +205,8 @@ class TestLifetimeCurve:
         at_300 = predict_lifetime_curve(deeper, gaps, EmitterParams(), 1.36, 0.51)
         assert [p.l_eff_um for p in at_300] == [p.l_eff_um for p in at_75]
         assert all(abs(a.xi - b.xi) > 0.01 for a, b in zip(at_75, at_300))
-        wave = resonance.StandingWave(deeper, constants.SIV_ZPL_CD_NM, [p.gap_nm for p in at_300])
+        pm = resonance.PhaseModel(deeper, constants.SIV_ZPL_CD_NM - 10.0, constants.SIV_ZPL_CD_NM + 10.0)
+        wave = resonance.StandingWave(pm, constants.SIV_ZPL_CD_NM, [p.gap_nm for p in at_300])
         np.testing.assert_array_equal(purcell.xi_overlap(wave, 300.0), [p.xi for p in at_300])
 
     def test_every_point_flagged_sweep(self, membrane_assembly):

@@ -7,7 +7,7 @@ import pytest
 from microcav import constants, metrics, tmm
 from microcav import stack as st
 from oracles import (FlatStandingWave, GridPhaseModel, SplitResponse, exact_transmission_maxima, flatten_assembly,
-                     stack_response, transmission)
+                     split_at_gap, stack_response, transmission)
 from microcav.phase import _rest_steps
 from microcav.dispersion_fit import fit_dispersion
 from microcav.purcell import xi_overlap
@@ -20,6 +20,20 @@ from microcav.resonance import (
     effective_length,
     find_resonances,
 )
+
+
+@pytest.fixture(scope="module")
+def lossless_hard_assembly():
+    """Near-ideal lossless mirrors: a quarter-wave layer of n = 1e3 at 737 nm on silica, 10 um apart."""
+    hm = st.Mirror(st.SILICA, (st.Layer(st.Material("n = 1e3", 1e3), 737.0 / 4e3),), excess_loss_ppm=0.0)
+    return st.CavityAssembly(hm, 10_000.0, None, 0.0, hm, r_c_um=45.0)
+
+
+def _penetration_um(mirror, wl, h=1e-3):
+    """(1/2) dphi_r/dk of a coating from the gap, by a central difference of the TMM's phase."""
+    wls = np.array([wl - h, wl + h])
+    phase = np.unwrap(np.angle(tmm.amplitude_coefficients(mirror.as_stack(), wls)[0]))
+    return 0.5e-3 * (phase[1] - phase[0]) / np.diff(2.0 * np.pi / wls)[0]
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +154,14 @@ class TestMembraneDispersion:
 
 
 class TestEffectiveLength:
-    def test_hard_mirror_geometric(self, hard_assembly):
-        pm = PhaseModel(hard_assembly, 730, 745)
-        wl_res, _ = pm.nearest_resonance(737.0, hard_assembly.gap_nm)
-        l_eff = effective_length(hard_assembly, wl_res)
-        assert l_eff == pytest.approx(10.0, abs=1e-5)
+    def test_hard_mirror_geometric(self, lossless_hard_assembly):
+        # the gap plus each mirror's frequency penetration depth (1/2) dphi_r/dk
+        asm = lossless_hard_assembly
+        pm = PhaseModel(asm, 730, 745)
+        wl_res, _ = pm.nearest_resonance(737.0, asm.gap_nm)
+        l_eff = effective_length(asm, wl_res)
+        assert l_eff == pytest.approx(10.0 + 2.0 * _penetration_um(asm.fiber_mirror, wl_res), rel=1e-9, abs=0.0)
+        assert l_eff == pytest.approx(10.0, abs=1e-3)
 
     def test_fixture_penetration_vs_phase_oracle(self, empty_assembly, fixture_mirror):
         pm = PhaseModel(empty_assembly, 730, 745)
@@ -191,7 +208,8 @@ class TestRetuning:
         assert wl_back == pytest.approx(737.25, abs=1e-6)
 
     def test_interface_weight_range(self, membrane_assembly):
-        w = StandingWave(membrane_assembly, 737.25, membrane_assembly.gap_nm).membrane_interface_weight()[0]
+        pm = PhaseModel(membrane_assembly, 730, 745)
+        w = StandingWave(pm, 737.25, membrane_assembly.gap_nm).membrane_interface_weight()[0]
         assert 0.0 <= w <= 1.0
 
 
@@ -619,25 +637,30 @@ class TestWorkCount:
         assert sum(layer_points) == 85 * layers
 
 
-def _mirror(draw, hst):
+def _mirror(draw, hst, kappas=(0.0, 1e-3, 0.05)):
     layers = draw(hst.lists(
-        hst.tuples(hst.floats(1.0, 3.0), hst.sampled_from([0.0, 1e-3, 0.05]), hst.floats(20.0, 300.0)),
+        hst.tuples(hst.floats(1.0, 3.0), hst.sampled_from(kappas), hst.floats(20.0, 300.0)),
         min_size=1, max_size=6))
     return st.Mirror(st.Material("substrate", draw(hst.floats(1.0, 2.0))),
                      tuple(st.Layer(st.Material("m", n, k), d) for n, k, d in layers))
 
 
-def _assemblies(hst):
-    """Random cavities: lossless and absorbing coatings, a (lossy) membrane or none, each gap zero or not."""
+def _assemblies(hst, lossless=False):
+    """Random cavities: lossless and absorbing coatings, a (lossy) membrane or none, each gap zero or not.
+
+    ``lossless`` draws every kappa as 0.
+    """
 
     @hst.composite
     def assemblies(draw):
         membrane = None
         if draw(hst.booleans()):
-            material = st.Material("diamond", draw(hst.floats(1.5, 2.6)), draw(hst.sampled_from([0.0, 1e-4, 0.01])))
+            kappa = draw(hst.sampled_from([0.0] if lossless else [0.0, 1e-4, 0.01]))
+            material = st.Material("diamond", draw(hst.floats(1.5, 2.6)), kappa)
             membrane = st.Layer(material, draw(hst.floats(100.0, 3000.0)))
         gap, gap2 = (draw(_gaps(hst)) for _ in range(2))
-        return st.CavityAssembly(_mirror(draw, hst), gap, membrane, gap2, _mirror(draw, hst), r_c_um=45.0)
+        kappas = (0.0,) if lossless else (0.0, 1e-3, 0.05)
+        return st.CavityAssembly(_mirror(draw, hst, kappas), gap, membrane, gap2, _mirror(draw, hst, kappas), r_c_um=45.0)
 
     return assemblies()
 
@@ -661,16 +684,25 @@ class TestAiryComposition:
             planar = transmission(flatten_assembly(asm), wl)
             np.testing.assert_allclose(split.transmission(asm.gap_nm), planar, rtol=1e-9, atol=0.0)
             # the closed-form membrane and second gap against the TMM of the same rest of the stack
-            r_rest, t_rest = tmm.amplitude_coefficients(st.split_at_gap(asm)[1], wl)
+            r_rest, t_rest = tmm.amplitude_coefficients(split_at_gap(asm)[1], wl)
             np.testing.assert_allclose(split.r_rest, r_rest, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(split.t_rest, t_rest, rtol=1e-12, atol=0.0)
 
         check()
 
 
+def _reflects(mirror):
+    return any(m.nc != 1.0 for m in (mirror.substrate, *(layer.material for layer in mirror.layers)))
+
+
+def _lossless(asm):
+    layers = [*asm.fiber_mirror.layers, *asm.plane_mirror.layers, *([asm.membrane] if asm.membrane else [])]
+    return all(layer.material.kappa == 0.0 for layer in layers)
+
+
 def _assert_matches_flat_oracle(asm, wl, gaps, depth_fraction=0.3, angle=0.4):
     """L_eff, xi and the interface weight of one StandingWave over ``gaps`` against a flattened solve per gap."""
-    wave = StandingWave(asm, wl, gaps)
+    wave = StandingWave(PhaseModel(asm, wl - 5.0, wl + 5.0), wl, gaps)
     oracles = [FlatStandingWave(asm.with_gap(g), wl) for g in gaps]
     np.testing.assert_allclose(wave.effective_length_um(), [o.effective_length_um() for o in oracles], rtol=1e-10, atol=0.0)
     if asm.membrane is not None:
@@ -682,27 +714,35 @@ def _assert_matches_flat_oracle(asm, wl, gaps, depth_fraction=0.3, angle=0.4):
 
 class TestStandingWave:
     def test_matches_flattened_oracle(self):
-        # the three sub-stack solves against one full-stack solve per gap, on the
-        # random cavities of TestAiryComposition and several gaps in one call
+        # the closed form against one full-stack solve per gap, several gaps in one call: on
+        # the random cavities of TestAiryComposition, few of them lossless throughout, then
+        # on lossless ones; an absorbing cavity is refused, a coating that reflects nothing too
         hypothesis = pytest.importorskip("hypothesis")
         hst = hypothesis.strategies
+        draws = (hst.floats(600.0, 900.0), hst.lists(_gaps(hst), min_size=1, max_size=5), hst.floats(0.0, 1.0))
 
-        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-        @hypothesis.given(_assemblies(hst), hst.floats(600.0, 900.0), hst.lists(_gaps(hst), min_size=1, max_size=5),
-                          hst.floats(0.0, 1.0))
         def check(asm, wl, gaps, depth_fraction):
             if asm.membrane is None:  # the gap hosts the mode, so it must be open
                 gaps = [g for g in gaps if g > 0] or [asm.gap_nm or 1.0]
-            _assert_matches_flat_oracle(asm, wl, gaps, depth_fraction)
+            if not all(map(_reflects, (asm.fiber_mirror, asm.plane_mirror))):
+                with pytest.raises(st.GeometryError, match="reflects nothing"):
+                    PhaseModel(asm, wl - 5.0, wl + 5.0)
+            elif _lossless(asm):
+                _assert_matches_flat_oracle(asm, wl, gaps, depth_fraction)
+            else:
+                with pytest.raises(ValueError, match="absorbs: the standing wave in closed form needs lossless layers"):
+                    StandingWave(PhaseModel(asm, wl - 5.0, wl + 5.0), wl, gaps)
 
-        check()
+        settings = hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        for assemblies in (_assemblies(hst), _assemblies(hst, lossless=True)):
+            settings(hypothesis.given(assemblies, *draws)(check))()
 
-    def test_hard_mirrors_match_oracle(self, hard_assembly):
-        pm = PhaseModel(hard_assembly, 730.0, 745.0)
-        wl, _ = pm.nearest_resonance(737.0, hard_assembly.gap_nm)
+    def test_hard_mirrors_match_oracle(self, lossless_hard_assembly):
+        asm = lossless_hard_assembly
+        pm = PhaseModel(asm, 730.0, 745.0)
+        wl, _ = pm.nearest_resonance(737.0, asm.gap_nm)
         gaps = np.linspace(2_000.0, 20_000.0, 7) + np.array([0.0, 3.0, 0.0, 117.0, 0.0, 0.5, 0.0])
-        _assert_matches_flat_oracle(hard_assembly, wl, np.append(gaps, hard_assembly.gap_nm))
-        assert StandingWave(hard_assembly, wl, hard_assembly.gap_nm).effective_length_um()[0] == pytest.approx(10.0, abs=1e-5)
+        _assert_matches_flat_oracle(asm, wl, np.append(gaps, asm.gap_nm))
 
     def test_retuned_sweep_matches_oracle(self, membrane_assembly):
         wl = constants.SIV_ZPL_CD_NM
@@ -718,11 +758,22 @@ class TestStandingWave:
             pm = PhaseModel(opaque, 730.0, 745.0)
             assert np.all(np.isfinite(pm.linewidth_nm(pm.wl, 10_000.0)))
             assert find_resonances(opaque, 10_000.0, (730.0, 745.0)) == []
-        with pytest.raises(ValueError, match="a coating is opaque"):
-            StandingWave(opaque, 737.0, [10_000.0, 12_000.0])
+            # the closed form holds for lossless layers only, and names the first absorbing one
+            with pytest.raises(ValueError, match=r"fiber coating layer 0 \('ideal-reflector', kappa 100000\) absorbs"):
+                StandingWave(pm, 737.0, [10_000.0, 12_000.0])
+
+    def test_absorbing_membrane_named(self, membrane_assembly):
+        lossy = dataclasses.replace(membrane_assembly, membrane=st.Layer(st.Material("diamond", 2.4, 1e-4), 1420.0))
+        with pytest.raises(ValueError, match=r"^membrane \('diamond', kappa 0.0001\) absorbs"):
+            StandingWave(PhaseModel(lossy, 730.0, 745.0), 737.0, 10_000.0)
+
+    def test_wavelength_outside_the_model(self, membrane_assembly):
+        with pytest.raises(ValueError, match="outside the phase model"):
+            StandingWave(PhaseModel(membrane_assembly, 730.0, 745.0), 750.0, 10_000.0)
 
     def test_empty_gap_cannot_host(self, empty_assembly):
+        pm = PhaseModel(empty_assembly, 730.0, 745.0)
         with pytest.raises(ValueError, match="nonzero gap"):
-            StandingWave(empty_assembly, 737.0, [5_000.0, 0.0]).effective_length_um()
+            StandingWave(pm, 737.0, [5_000.0, 0.0]).effective_length_um()
         with pytest.raises(ValueError, match="no membrane"):
-            StandingWave(empty_assembly, 737.0, 5_000.0).membrane_interface_weight()
+            StandingWave(pm, 737.0, 5_000.0).membrane_interface_weight()

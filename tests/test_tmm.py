@@ -66,7 +66,8 @@ class TestStackResponse:
             )
             s = st.LayerStack(st.Material("a", rng.uniform(1, 2)), layers, st.Material("b", rng.uniform(1, 2)))
             wl = rng.uniform(400, 1000)
-            assert abs(stack_response(s, wl).T - stack_response(s.reversed(), wl).T) < 1e-9
+            reversed_stack = st.LayerStack(s.exit, s.layers[::-1], s.entry)
+            assert abs(stack_response(s, wl).T - stack_response(reversed_stack, wl).T) < 1e-9
 
     def test_scale_invariance(self, rng):
         for _ in range(40):
@@ -132,13 +133,13 @@ class TestFieldProfile:
     def test_entry_field_is_one_plus_r(self):
         s = st.LayerStack(st.AIR, (st.Layer(st.DIAMOND, 1420.0), st.Layer(st.SILICA, 300.0)), st.AIR)
         r, _ = tmm.amplitude_coefficients(s, 737.0)
-        a, b, _, _ = tmm._wave_amplitudes(s, 737.0)
+        a, b, _ = tmm._wave_amplitudes(s, 737.0)
         assert abs(a[0] + b[0] - (1 + r)) < 1e-12
 
     def test_exit_field_is_t(self):
         s = st.LayerStack(st.AIR, (st.Layer(st.DIAMOND, 1420.0),), st.AIR)
         _, t = tmm.amplitude_coefficients(s, 737.0)
-        a, b, _, _ = tmm._wave_amplitudes(s, 737.0)
+        a, b, _ = tmm._wave_amplitudes(s, 737.0)
         k = 2 * np.pi * st.DIAMOND.nc / 737.0
         exit_field = a[-1] * np.exp(1j * k * 1420.0) + b[-1] * np.exp(-1j * k * 1420.0)
         assert abs(exit_field - t) < 1e-12
